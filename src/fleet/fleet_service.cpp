@@ -226,15 +226,18 @@ SubmitOutcome FleetService::submitWithDigest(JobRequest request,
       PIMSCHED_COUNTER_ADD("fleet.jobs.accepted", 1);
       PIMSCHED_COUNTER_ADD("fleet.jobs.completed", 1);
       cacheOrder_.splice(cacheOrder_.end(), cacheOrder_, it->second.order);
-      auto served = std::make_shared<JobResult>(*it->second.result);
-      served->cacheHit = true;
-      served->waitNs = 0;
-      served->runNs = 0;
+      if (it->second.hit == nullptr) {
+        auto hit = std::make_shared<JobResult>(*it->second.result);
+        hit->cacheHit = true;
+        hit->waitNs = 0;
+        hit->runNs = 0;
+        it->second.hit = std::move(hit);
+      }
       auto job = std::make_shared<Job>();
       job->id = nextId_++;
       job->state = JobState::kDone;
       job->digest = digest;
-      job->result = std::move(served);
+      job->result = it->second.hit;
       job->request.priority = request.priority;
       job->request.tenant = request.tenant;
       jobs_.emplace(job->id, job);
@@ -644,11 +647,12 @@ void FleetService::cacheInsertLocked(
   const auto it = cache_.find(key);
   if (it != cache_.end()) {
     it->second.result = std::move(result);
+    it->second.hit = nullptr;
     cacheOrder_.splice(cacheOrder_.end(), cacheOrder_, it->second.order);
     return;
   }
   cacheOrder_.push_back(key);
-  CacheEntry entry{std::move(result), std::prev(cacheOrder_.end())};
+  CacheEntry entry{std::move(result), nullptr, std::prev(cacheOrder_.end())};
   cache_.emplace(key, std::move(entry));
   while (cacheOrder_.size() > config_.maxCacheEntries) {
     cache_.erase(cacheOrder_.front());

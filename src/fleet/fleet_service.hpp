@@ -269,6 +269,9 @@ class FleetService final : public serve::JobService {
 
   struct CacheEntry {
     std::shared_ptr<const serve::JobResult> result;
+    /// `result` re-stamped as a cache hit, made on the first hit and
+    /// shared by every later one.
+    std::shared_ptr<const serve::JobResult> hit;
     std::list<std::string>::iterator order;
   };
 

@@ -126,16 +126,16 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
+      // Copy the run up to the next quote, backslash or control byte with
+      // one append.
+      std::size_t end = pos_;
+      while (end < text_.size() && !isStringStop(text_[end])) ++end;
+      out.append(text_, pos_, end - pos_);
+      pos_ = end;
       const char c = peek();
       ++pos_;
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("unescaped control character in string");
-      }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
+      if (c != '\\') fail("unescaped control character in string");
       const char esc = peek();
       ++pos_;
       switch (esc) {
@@ -151,6 +151,10 @@ class Parser {
         default: fail("invalid escape in string");
       }
     }
+  }
+
+  static bool isStringStop(char c) {
+    return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
   }
 
   unsigned hex4() {

@@ -1,6 +1,5 @@
 #include "serve/protocol.hpp"
 
-#include <sstream>
 #include <stdexcept>
 
 #include "fault/fault_map.hpp"
@@ -83,8 +82,7 @@ JobRequest parseSubmit(const Json& request, const ProtocolOptions& options) {
   }
   try {
     if (inlineTrace != nullptr) {
-      std::istringstream is(inlineTrace->asString());
-      job.trace = loadTrace(is);
+      job.trace = loadTrace(inlineTrace->asString());
     } else {
       if (!options.allowTraceFiles) {
         throw RequestError("trace_file submissions are disabled; inline "

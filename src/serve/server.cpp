@@ -259,7 +259,10 @@ void SocketServer::handlerLoop() {
 void SocketServer::handleConnection(int fd) {
   ProtocolHandler handler(*service_, options_.protocol);
   std::string buffer;
-  char chunk[4096];
+  // Bytes of `buffer` already searched for '\n'; a frame that arrives in
+  // many reads is scanned once, not once per read.
+  std::size_t scanned = 0;
+  char chunk[64 * 1024];
   bool open = true;
 
   const auto respond = [&](std::string_view line) {
@@ -295,7 +298,7 @@ void SocketServer::handleConnection(int fd) {
     }
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start);
+    for (std::size_t nl = buffer.find('\n', scanned);
          nl != std::string::npos && open;
          nl = buffer.find('\n', start)) {
       std::string_view line(buffer.data() + start, nl - start);
@@ -304,6 +307,7 @@ void SocketServer::handleConnection(int fd) {
       start = nl + 1;
     }
     buffer.erase(0, start);
+    scanned = buffer.size();
     if (buffer.size() > options_.protocol.maxFrameBytes) {
       // An unterminated over-long frame can never complete: hand it to the
       // handler (whose size check produces the structured "frame too

@@ -124,16 +124,20 @@ SubmitOutcome SchedulingService::submitWithDigest(JobRequest request,
       // A hit is a use: promote the entry to most-recently-used so hot
       // digests survive eviction pressure.
       cacheOrder_.splice(cacheOrder_.end(), cacheOrder_, it->second.order);
-      // The cached JobResult is shared; re-stamp only the per-job fields.
-      auto served = std::make_shared<JobResult>(*it->second.result);
-      served->cacheHit = true;
-      served->waitNs = 0;
-      served->runNs = 0;
+      // The cached JobResult is shared; the hit copy re-stamps only the
+      // per-job fields, which are the same for every hit.
+      if (it->second.hit == nullptr) {
+        auto hit = std::make_shared<JobResult>(*it->second.result);
+        hit->cacheHit = true;
+        hit->waitNs = 0;
+        hit->runNs = 0;
+        it->second.hit = std::move(hit);
+      }
       auto job = std::make_shared<Job>();
       job->id = nextId_++;
       job->state = JobState::kDone;
       job->digest = digest;
-      job->result = std::move(served);
+      job->result = it->second.hit;
       job->request.priority = request.priority;
       jobs_.emplace(job->id, job);
       cv_.notify_all();
@@ -289,11 +293,12 @@ void SchedulingService::cacheInsertLocked(
     // Re-insertion of a known digest refreshes the entry in place — no
     // duplicate order node, just a promotion to most-recently-used.
     it->second.result = std::move(result);
+    it->second.hit = nullptr;
     cacheOrder_.splice(cacheOrder_.end(), cacheOrder_, it->second.order);
     return;
   }
   cacheOrder_.push_back(key);
-  CacheEntry entry{std::move(result), std::prev(cacheOrder_.end())};
+  CacheEntry entry{std::move(result), nullptr, std::prev(cacheOrder_.end())};
   cache_.emplace(std::move(key), std::move(entry));
   while (cacheOrder_.size() > config_.maxCacheEntries) {
     cache_.erase(cacheOrder_.front());

@@ -361,6 +361,10 @@ class SchedulingService : public JobService {
 
   struct CacheEntry {
     std::shared_ptr<const JobResult> result;
+    /// `result` re-stamped as a cache hit (cacheHit, zero wait/run), made
+    /// on the first hit and shared by every later one: a hit keeps no copy
+    /// of the schedule.
+    std::shared_ptr<const JobResult> hit;
     /// Position in cacheOrder_ (front = LRU, back = MRU).
     std::list<std::string>::iterator order;
   };

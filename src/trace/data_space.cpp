@@ -1,10 +1,18 @@
 #include "trace/data_space.hpp"
 
+#include <cstdint>
+#include <limits>
+
 namespace pimsched {
 
 int DataSpace::addArray(std::string name, int rows, int cols) {
   if (rows < 1 || cols < 1) {
     throw std::invalid_argument("DataSpace::addArray: dims must be >= 1");
+  }
+  if (static_cast<std::int64_t>(rows) * cols >
+      std::numeric_limits<DataId>::max() - nextId_) {
+    throw std::invalid_argument(
+        "DataSpace::addArray: data ids overflow the DataId range");
   }
   arrays_.push_back(ArrayInfo{std::move(name), rows, cols, nextId_});
   nextId_ += static_cast<DataId>(rows) * static_cast<DataId>(cols);

@@ -1,12 +1,17 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace pimsched {
 
 void ReferenceTrace::add(StepId step, ProcId proc, DataId data, Cost weight) {
   if (step < 0) throw std::invalid_argument("Access step must be >= 0");
+  if (step == std::numeric_limits<StepId>::max()) {
+    // numSteps() is the last step + 1 and must fit StepId.
+    throw std::invalid_argument("Access step must be < the StepId maximum");
+  }
   if (proc < 0) throw std::invalid_argument("Access proc must be >= 0");
   if (data < 0 || data >= dataSpace_.numData()) {
     throw std::invalid_argument("Access data id out of DataSpace range");
@@ -18,12 +23,26 @@ void ReferenceTrace::add(StepId step, ProcId proc, DataId data, Cost weight) {
 
 void ReferenceTrace::finalize() {
   if (finalized_) return;
-  std::sort(accesses_.begin(), accesses_.end(),
-            [](const Access& a, const Access& b) {
-              if (a.step != b.step) return a.step < b.step;
-              if (a.data != b.data) return a.data < b.data;
-              return a.proc < b.proc;
-            });
+  // Weights are > 0, so no merged weight exceeds the total: checking the
+  // total covers the merge below too.
+  Cost total = 0;
+  for (const Access& a : accesses_) {
+    if (a.weight > std::numeric_limits<Cost>::max() - total) {
+      throw std::invalid_argument(
+          "ReferenceTrace: total access weight overflows Cost");
+    }
+    total += a.weight;
+  }
+  const auto byStepDataProc = [](const Access& a, const Access& b) {
+    if (a.step != b.step) return a.step < b.step;
+    if (a.data != b.data) return a.data < b.data;
+    return a.proc < b.proc;
+  };
+  // saveTrace writes finalized (sorted) traces, so loaded ones usually
+  // arrive in order; the merge below runs either way.
+  if (!std::is_sorted(accesses_.begin(), accesses_.end(), byStepDataProc)) {
+    std::sort(accesses_.begin(), accesses_.end(), byStepDataProc);
+  }
   // Merge duplicate (step, data, proc) triples by summing weights.
   std::size_t out = 0;
   for (std::size_t i = 0; i < accesses_.size(); ++i) {
@@ -38,8 +57,7 @@ void ReferenceTrace::finalize() {
   accesses_.resize(out);
 
   numSteps_ = accesses_.empty() ? 0 : accesses_.back().step + 1;
-  totalWeight_ = 0;
-  for (const Access& a : accesses_) totalWeight_ += a.weight;
+  totalWeight_ = total;
   finalized_ = true;
 }
 

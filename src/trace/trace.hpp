@@ -32,6 +32,8 @@ class ReferenceTrace {
 
   /// Appends a reference. Call finalize() before reading.
   void add(StepId step, ProcId proc, DataId data, Cost weight = 1);
+  /// Reserves room for `n` add() calls.
+  void reserve(std::size_t n) { accesses_.reserve(n); }
 
   /// Sorts + merges duplicates; validates ids. Idempotent.
   void finalize();

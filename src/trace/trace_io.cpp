@@ -1,5 +1,7 @@
 #include "trace/trace_io.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -9,7 +11,56 @@ namespace pimsched {
 
 namespace {
 
-constexpr const char* kMagic = "pimtrace v1";
+constexpr std::string_view kMagic = "pimtrace v1";
+/// "access 0 0 0 1\n": the shortest line that can carry an access.
+constexpr std::size_t kMinAccessLineBytes = 15;
+
+/// The whitespace set of `std::istream >>` in the classic locale:
+/// " \t\n\v\f\r".
+bool isSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// Cursor over one record line that reads fields the way `std::istream >>`
+/// does in the classic locale: a token is a maximal run of non-whitespace;
+/// an integer is an optional sign and decimal digits, ends at its first
+/// non-digit (the next field starts right there) and must fit its type.
+class Fields {
+ public:
+  explicit Fields(std::string_view line) : rest_(line) {}
+
+  /// The next token, or empty when only whitespace is left.
+  std::string_view token() {
+    skipSpace();
+    std::size_t n = 0;
+    while (n < rest_.size() && !isSpace(rest_[n])) ++n;
+    const std::string_view tok = rest_.substr(0, n);
+    rest_.remove_prefix(n);
+    return tok;
+  }
+
+  template <typename Int>
+  bool integer(Int& out) {
+    skipSpace();
+    const char* first = rest_.data();
+    const char* const last = first + rest_.size();
+    // from_chars takes '-' but not '+'; after a '+' a digit must follow,
+    // so "+-5" stays an error.
+    if (first != last && *first == '+') {
+      ++first;
+      if (first == last || *first < '0' || *first > '9') return false;
+    }
+    const auto [end, ec] = std::from_chars(first, last, out);
+    if (ec != std::errc()) return false;
+    rest_.remove_prefix(static_cast<std::size_t>(end - rest_.data()));
+    return true;
+  }
+
+ private:
+  void skipSpace() {
+    while (!rest_.empty() && isSpace(rest_.front())) rest_.remove_prefix(1);
+  }
+
+  std::string_view rest_;
+};
 
 constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
@@ -116,53 +167,80 @@ void saveTraceFile(const ReferenceTrace& trace, const std::string& path) {
   saveTrace(trace, os);
 }
 
-ReferenceTrace loadTrace(std::istream& is) {
-  std::string line;
-  if (!std::getline(is, line) || line != kMagic) {
+ReferenceTrace loadTrace(std::string_view text) {
+  std::size_t pos = 0;
+  // Splits exactly like std::getline: a final line without '\n' still
+  // counts, a trailing '\n' does not start an empty one.
+  const auto nextLine = [&](std::string_view& line) {
+    if (pos >= text.size()) return false;
+    const std::size_t end = std::min(text.find('\n', pos), text.size());
+    line = text.substr(pos, end - pos);
+    pos = end + 1;
+    return true;
+  };
+
+  std::string_view line;
+  if (!nextLine(line) || line != kMagic) {
     throw std::runtime_error("loadTrace: missing 'pimtrace v1' header");
   }
 
   DataSpace ds;
   std::optional<ReferenceTrace> trace;
   int lineNo = 1;
-  while (std::getline(is, line)) {
+  while (true) {
+    const std::size_t lineStart = pos;
+    if (!nextLine(line)) break;
     ++lineNo;
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::string kind;
-    ls >> kind;
+    Fields fields(line);
+    const std::string_view kind = fields.token();
     if (kind == "array") {
       if (trace.has_value()) {
         throw std::runtime_error(
             "loadTrace: 'array' after first 'access' (line " +
             std::to_string(lineNo) + ")");
       }
-      std::string name;
+      // An empty name means the line ended, so reading rows fails too.
+      const std::string_view name = fields.token();
       int rows = 0, cols = 0;
-      if (!(ls >> name >> rows >> cols)) {
+      if (!fields.integer(rows) || !fields.integer(cols)) {
         throw std::runtime_error("loadTrace: malformed array line " +
                                  std::to_string(lineNo));
       }
-      ds.addArray(name, rows, cols);
+      ds.addArray(std::string(name), rows, cols);
     } else if (kind == "access") {
-      if (!trace.has_value()) trace.emplace(ds);
+      if (!trace.has_value()) {
+        trace.emplace(std::move(ds));
+        // Every access line is at least kMinAccessLineBytes long, so this
+        // bounds the count from above without trusting a newline count.
+        trace->reserve((text.size() - lineStart) / kMinAccessLineBytes);
+      }
       StepId step = 0;
       ProcId proc = 0;
       DataId data = 0;
       Cost weight = 0;
-      if (!(ls >> step >> proc >> data >> weight)) {
+      if (!fields.integer(step) || !fields.integer(proc) ||
+          !fields.integer(data) || !fields.integer(weight)) {
         throw std::runtime_error("loadTrace: malformed access line " +
                                  std::to_string(lineNo));
       }
       trace->add(step, proc, data, weight);
     } else {
-      throw std::runtime_error("loadTrace: unknown record '" + kind +
-                               "' at line " + std::to_string(lineNo));
+      throw std::runtime_error("loadTrace: unknown record '" +
+                               std::string(kind) + "' at line " +
+                               std::to_string(lineNo));
     }
   }
-  if (!trace.has_value()) trace.emplace(ds);
+  if (!trace.has_value()) trace.emplace(std::move(ds));
   trace->finalize();
   return std::move(*trace);
+}
+
+ReferenceTrace loadTrace(std::istream& is) {
+  std::ostringstream buffer;
+  buffer << is.rdbuf();
+  const std::string text = std::move(buffer).str();
+  return loadTrace(std::string_view(text));
 }
 
 ReferenceTrace loadTraceFile(const std::string& path) {

@@ -21,6 +21,17 @@ namespace pimsched {
 void saveTrace(const ReferenceTrace& trace, std::ostream& os);
 void saveTraceFile(const ReferenceTrace& trace, const std::string& path);
 
+/// Parses pimtrace text in one pass without copying it. The first line
+/// must be exactly `pimtrace v1`; lines split on '\n' only. Fields read
+/// as `std::istream >>` reads them in the classic locale: whitespace is
+/// " \t\n\v\f\r"; an integer is an optional '+' or '-' then decimal
+/// digits, ends at its first non-digit and must fit its type (int32 for
+/// step/proc/data/rows/cols, int64 for weight). Tokens after a record's
+/// last field are ignored; a whitespace-only line is an unknown record.
+/// Throws std::runtime_error on malformed text and std::invalid_argument on
+/// a record the trace rejects (e.g. a data id outside the arrays).
+[[nodiscard]] ReferenceTrace loadTrace(std::string_view text);
+/// Reads the whole stream, then parses it as loadTrace(string_view) does.
 [[nodiscard]] ReferenceTrace loadTrace(std::istream& is);
 [[nodiscard]] ReferenceTrace loadTraceFile(const std::string& path);
 

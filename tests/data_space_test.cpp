@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 namespace pimsched {
@@ -47,6 +48,15 @@ TEST(DataSpace, RejectsOutOfRange) {
 TEST(DataSpace, RejectsDegenerateArray) {
   DataSpace ds;
   EXPECT_THROW(ds.addArray("X", 0, 3), std::invalid_argument);
+}
+
+TEST(DataSpace, RejectsIdSpaceOverflow) {
+  DataSpace ds;
+  EXPECT_THROW(ds.addArray("X", 46341, 46341), std::invalid_argument);
+  ds.addArray("A", 65536, 32767);
+  EXPECT_THROW(ds.addArray("B", 1, 65536), std::invalid_argument);
+  ds.addArray("B", 1, 65535);  // ids exactly fill the DataId range
+  EXPECT_EQ(ds.numData(), std::numeric_limits<DataId>::max());
 }
 
 TEST(DataSpace, ArrayInfoRecordsName) {

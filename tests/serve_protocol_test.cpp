@@ -36,6 +36,40 @@ TEST(Json, ParsesEscapesIncludingSurrogatePairs) {
   EXPECT_THROW((void)Json::parse(R"("\ud83d")"), JsonError);  // lone high
 }
 
+TEST(Json, LongStringRunsAndEscapesAtTheirBoundaries) {
+  const std::string run(70000, 'a');  // longer than any single read
+  const auto quoted = [](const std::string& body) {
+    return "\"" + body + "\"";
+  };
+  EXPECT_EQ(Json::parse(quoted(run)).asString(), run);
+  EXPECT_EQ(Json::parse(quoted("\\n" + run + "\\t")).asString(),
+            "\n" + run + "\t");
+  EXPECT_EQ(Json::parse(quoted(run + "\\\"\\\\" + run)).asString(),
+            run + "\"\\" + run);
+  EXPECT_EQ(Json::parse(quoted(run + "\\ud83d\\ude00" + run)).asString(),
+            run + "\xf0\x9f\x98\x80" + run);
+  EXPECT_EQ(Json::parse(quoted(run + "\\u00e9")).asString(),
+            run + "\xc3\xa9");
+
+  // The errors a long run ends in are the ones a short one gives.
+  const auto errorOf = [](const std::string& text) -> std::string {
+    try {
+      (void)Json::parse(text);
+    } catch (const JsonError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(errorOf(quoted(run + '\x01' + run)),
+            errorOf(quoted(std::string("a\x01"))));
+  EXPECT_EQ(errorOf(quoted(run + '\x01' + run)),
+            "unescaped control character in string");
+  EXPECT_EQ(errorOf("\"" + run), "unexpected end of input");
+  EXPECT_EQ(errorOf(quoted(run + "\\q")), "invalid escape in string");
+  EXPECT_EQ(errorOf(quoted(run + "\\ud83d" + run)),
+            "unpaired surrogate in \\u escape");
+}
+
 TEST(Json, ParsesNestedStructures) {
   const Json v = Json::parse(R"({"a": [1, {"b": true}], "c": "x"})");
   ASSERT_TRUE(v.isObject());

@@ -63,6 +63,13 @@ class Client {
     }
   }
 
+  /// Writes `data` as a series of writes of at most `chunk` bytes each.
+  void sendInChunks(const std::string& data, std::size_t chunk) {
+    for (std::size_t off = 0; off < data.size(); off += chunk) {
+      sendRaw(data.substr(off, chunk));
+    }
+  }
+
   /// Half-closes the write side, leaving the read side open for a reply.
   void endOfInput() { ::shutdown(fd_, SHUT_WR); }
 
@@ -241,6 +248,52 @@ TEST(SocketServer, OversizedFrameIsRejectedAndTheConnectionClosed) {
   // The daemon is not wedged: a fresh connection works.
   Client next(fixture.server->socketPath());
   EXPECT_TRUE(next.request(R"({"verb":"stats"})").find("ok")->asBool());
+}
+
+TEST(SocketServer, LargeFramesReassembleAcrossManySmallWrites) {
+  ServerFixture fixture("dribble");
+  Client client(fixture.server->socketPath());
+  const std::string frame = submitLine(500);
+  ASSERT_GT(frame.size(), 64u * 1024u);  // spans several server reads
+
+  const Json whole = client.request(frame);
+  ASSERT_TRUE(whole.find("ok")->asBool()) << whole.dump();
+  EXPECT_FALSE(whole.find("cached")->asBool());
+
+  // The same bytes dribbled in: a cache hit proves the server rebuilt the
+  // frame byte for byte, since the cache is keyed by the job's digest.
+  for (const std::size_t chunk : {std::size_t{4096}, std::size_t{1}}) {
+    SCOPED_TRACE(chunk);
+    client.sendInChunks(frame + "\n", chunk);
+    const Json reply = Json::parse(client.readLine());
+    ASSERT_TRUE(reply.find("ok")->asBool()) << reply.dump();
+    EXPECT_TRUE(reply.find("cached")->asBool());
+    EXPECT_EQ(reply.find("total")->asInt64(),
+              whole.find("total")->asInt64());
+  }
+}
+
+TEST(SocketServer, TwoFramesInOneWriteGetTwoReplies) {
+  ServerFixture fixture("pair");
+  Client client(fixture.server->socketPath());
+  client.sendRaw(submitLine() + "\n" + R"({"verb":"stats"})" + "\n");
+  const Json submit = Json::parse(client.readLine());
+  EXPECT_TRUE(submit.find("ok")->asBool()) << submit.dump();
+  EXPECT_EQ(submit.find("state")->asString(), "done");
+  const Json stats = Json::parse(client.readLine());
+  EXPECT_TRUE(stats.find("ok")->asBool());
+  EXPECT_EQ(stats.find("accepted")->asInt64(), 1);
+}
+
+TEST(SocketServer, CrlfTerminatedFramesAreAccepted) {
+  ServerFixture fixture("crlf");
+  Client client(fixture.server->socketPath());
+  client.sendRaw(std::string(R"({"verb":"stats"})") + "\r\n");
+  EXPECT_TRUE(Json::parse(client.readLine()).find("ok")->asBool());
+  // The '\r' and the '\n' in different writes.
+  client.sendRaw(std::string(R"({"verb":"stats"})") + "\r");
+  client.sendRaw("\n");
+  EXPECT_TRUE(Json::parse(client.readLine()).find("ok")->asBool());
 }
 
 TEST(SocketServer, RequestStopDrainsAndReturnsZero) {

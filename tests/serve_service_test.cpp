@@ -57,6 +57,8 @@ class PoolGate {
         ++held_;
         cv_.notify_all();
         cv_.wait(lock, [&] { return released_; });
+        --held_;
+        cv_.notify_all();
       });
     }
     std::unique_lock<std::mutex> lock(mutex_);
@@ -66,10 +68,13 @@ class PoolGate {
 
   ~PoolGate() { release(); }
 
+  /// Frees the workers and returns only once every gated task has left
+  /// mutex_ and cv_, so the gate may be destroyed right after.
   void release() {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     released_ = true;
     cv_.notify_all();
+    cv_.wait(lock, [&] { return held_ == 0; });
   }
 
  private:
@@ -160,6 +165,26 @@ TEST(SchedulingService, ResubmitIsServedFromTheResultCache) {
   EXPECT_EQ(stats.cacheMisses, 1);
   EXPECT_EQ(stats.completed, 2);
   EXPECT_EQ(stats.cacheEntries, 1u);
+}
+
+TEST(SchedulingService, CacheHitsShareOneRestampedResult) {
+  // A hot daemon answers most submits from the cache and keeps every job's
+  // result; a copy per hit would grow its memory with each request served.
+  SchedulingService service;
+  const SubmitOutcome first = service.submit(makeRequest());
+  const auto solved = service.result(first.id);
+  ASSERT_NE(solved, nullptr);
+  const auto hit1 = service.result(service.submit(makeRequest()).id);
+  const auto hit2 = service.result(service.submit(makeRequest()).id);
+  ASSERT_NE(hit1, nullptr);
+  EXPECT_EQ(hit1.get(), hit2.get());
+  EXPECT_NE(hit1.get(), solved.get());
+  EXPECT_TRUE(hit1->cacheHit);
+  EXPECT_EQ(hit1->waitNs, 0);
+  EXPECT_EQ(hit1->runNs, 0);
+  // The solving job's result keeps its own stamps.
+  EXPECT_FALSE(solved->cacheHit);
+  EXPECT_EQ(service.result(first.id).get(), solved.get());
 }
 
 TEST(SchedulingService, BackpressureRejectsWithAReason) {

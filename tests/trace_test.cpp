@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <random>
 #include <stdexcept>
+#include <tuple>
+#include <vector>
 
 namespace pimsched {
 namespace {
@@ -32,6 +37,63 @@ TEST(ReferenceTrace, MergesDuplicateTriples) {
   ASSERT_EQ(t.accesses().size(), 1u);
   EXPECT_EQ(t.accesses()[0].weight, 7);
   EXPECT_EQ(t.totalWeight(), 7);
+}
+
+/// What finalize() produced before it skipped the sort for sorted input:
+/// sort by (step, data, proc), then sum the weights of equal triples.
+std::vector<Access> sortAndMerge(std::vector<Access> accesses) {
+  std::sort(accesses.begin(), accesses.end(),
+            [](const Access& a, const Access& b) {
+              return std::tie(a.step, a.data, a.proc) <
+                     std::tie(b.step, b.data, b.proc);
+            });
+  std::vector<Access> out;
+  for (const Access& a : accesses) {
+    if (!out.empty() && out.back().step == a.step &&
+        out.back().data == a.data && out.back().proc == a.proc) {
+      out.back().weight += a.weight;
+    } else {
+      out.push_back(a);
+    }
+  }
+  return out;
+}
+
+TEST(ReferenceTrace, SortedInputFinalizesLikeTheSortPath) {
+  const std::vector<Access> random = [] {
+    std::mt19937 rng(11);
+    std::vector<Access> v;
+    for (int i = 0; i < 2000; ++i) {
+      v.push_back(Access{static_cast<StepId>(rng() % 20),
+                         static_cast<ProcId>(rng() % 4),
+                         static_cast<DataId>(rng() % 16),
+                         static_cast<Cost>(1 + rng() % 5)});
+    }
+    return v;
+  }();
+  const std::vector<Access> sortedWithDuplicates = [&] {
+    std::vector<Access> v = random;
+    std::sort(v.begin(), v.end(), [](const Access& a, const Access& b) {
+      return std::tie(a.step, a.data, a.proc) <
+             std::tie(b.step, b.data, b.proc);
+    });
+    return v;
+  }();
+  const std::vector<Access> sortedUnique = sortAndMerge(random);
+  ASSERT_LT(sortedUnique.size(), sortedWithDuplicates.size());
+
+  for (const std::vector<Access>* input :
+       {&sortedUnique, &sortedWithDuplicates, &random}) {
+    ReferenceTrace t(DataSpace::singleSquare(4));
+    for (const Access& a : *input) t.add(a.step, a.proc, a.data, a.weight);
+    t.finalize();
+    const std::vector<Access> want = sortAndMerge(*input);
+    EXPECT_EQ(t.accesses(), want);
+    EXPECT_EQ(t.numSteps(), want.back().step + 1);
+    Cost total = 0;
+    for (const Access& a : want) total += a.weight;
+    EXPECT_EQ(t.totalWeight(), total);
+  }
 }
 
 TEST(ReferenceTrace, StepAndWeightAccounting) {
@@ -64,6 +126,14 @@ TEST(ReferenceTrace, RejectsInvalidAccesses) {
   EXPECT_THROW(t.add(0, 0, 4, 1), std::invalid_argument);   // data out of range
   EXPECT_THROW(t.add(0, 0, -1, 1), std::invalid_argument);
   EXPECT_THROW(t.add(0, 0, 0, 0), std::invalid_argument);   // zero weight
+  // numSteps() = last step + 1 must fit StepId.
+  EXPECT_THROW(t.add(std::numeric_limits<StepId>::max(), 0, 0, 1),
+               std::invalid_argument);
+
+  ReferenceTrace heavy(DataSpace::singleSquare(2));
+  heavy.add(0, 0, 0, std::numeric_limits<Cost>::max());
+  heavy.add(0, 0, 0, 1);  // merging these two would overflow Cost
+  EXPECT_THROW(heavy.finalize(), std::invalid_argument);
 }
 
 TEST(ReferenceTrace, AddAfterFinalizeUnfinalizes) {
