@@ -1,6 +1,6 @@
 // gomcds_kernels — flat-kernel GOMCDS sweep: grid sizes 4x4 -> 64x64 on a
-// matmul trace, comparing the frozen pre-flat callback solver against the
-// flat solver with subproblem dedup off and on. Emits
+// matmul trace, comparing the frozen pre-flat callback solver against
+// scheduleGomcds, dispatched and with the SIMD tier forced to scalar. Emits
 // results/bench_gomcds.json and self-checks that all three variants
 // produce bit-identical schedules (exit 1 on divergence).
 //
@@ -196,7 +196,6 @@ struct Point {
   double callbackMs = 0;
   double flatMs = 0;
   double flatScalarMs = 0;
-  double flatDedupMs = 0;
   int dedupClasses = 0;
   bool match = false;
 };
@@ -278,8 +277,8 @@ std::vector<MicroRow> kernelMicro(int side, int repeat) {
        }},
       {"layered_solve",
        [&] {
-         LayeredDagSolver::solveManhattanFlatInto(grid, layers, tableSpan,
-                                                  beta, scratch, path);
+         LayeredDagSolver::solveManhattan(grid, layers, tableSpan, beta, 0,
+                                          scratch.dp, scratch, path);
        }},
       {"min_plus_row",
        [&] {
@@ -342,9 +341,7 @@ int main(int argc, char** argv) {
     PipelineConfig cfg;
     cfg.numWindows = 8;
     const Experiment exp(trace, grid, cfg);
-    SchedulerOptions flatOpts{exp.capacity(), cfg.order};
-    SchedulerOptions noDedupOpts = flatOpts;
-    noDedupOpts.dedup = false;
+    const SchedulerOptions opts{exp.capacity(), cfg.order};
 
     Point pt;
     pt.side = side;
@@ -359,33 +356,26 @@ int main(int argc, char** argv) {
     // down cross-tier schedule identity at full-pipeline granularity.
     const simd::Tier dispatched = simd::activeTier();
     const DataSchedule base =
-        scheduleCallback(exp.refs(), exp.costModel(), flatOpts);
-    const DataSchedule flat =
-        scheduleGomcds(exp.refs(), exp.costModel(), noDedupOpts);
-    const DataSchedule dedup =
-        scheduleGomcds(exp.refs(), exp.costModel(), flatOpts);
+        scheduleCallback(exp.refs(), exp.costModel(), opts);
+    const DataSchedule flat = scheduleGomcds(exp.refs(), exp.costModel(), opts);
     simd::forceTier(simd::Tier::kScalar);
     const DataSchedule flatScalar =
-        scheduleGomcds(exp.refs(), exp.costModel(), noDedupOpts);
+        scheduleGomcds(exp.refs(), exp.costModel(), opts);
     simd::forceTier(dispatched);
-    pt.match = sameSchedule(base, flat) && sameSchedule(base, dedup) &&
-               sameSchedule(base, flatScalar);
+    pt.match = sameSchedule(base, flat) && sameSchedule(base, flatScalar);
     allMatch = allMatch && pt.match;
 
     pt.callbackMs = benchtool::medianRunMs(
-        [&] { (void)scheduleCallback(exp.refs(), exp.costModel(), flatOpts); },
+        [&] { (void)scheduleCallback(exp.refs(), exp.costModel(), opts); },
         rep);
     pt.flatMs = benchtool::medianRunMs(
-        [&] { (void)scheduleGomcds(exp.refs(), exp.costModel(), noDedupOpts); },
+        [&] { (void)scheduleGomcds(exp.refs(), exp.costModel(), opts); },
         rep);
     simd::forceTier(simd::Tier::kScalar);
     pt.flatScalarMs = benchtool::medianRunMs(
-        [&] { (void)scheduleGomcds(exp.refs(), exp.costModel(), noDedupOpts); },
+        [&] { (void)scheduleGomcds(exp.refs(), exp.costModel(), opts); },
         rep);
     simd::forceTier(dispatched);
-    pt.flatDedupMs = benchtool::medianRunMs(
-        [&] { (void)scheduleGomcds(exp.refs(), exp.costModel(), flatOpts); },
-        rep);
     points.push_back(pt);
 
     std::cout << "grid " << side << "x" << side << " (n=" << n << ", data="
@@ -393,9 +383,9 @@ int main(int argc, char** argv) {
               << fmt(pt.callbackMs) << " ms, flat " << fmt(pt.flatMs)
               << " ms (scalar " << fmt(pt.flatScalarMs) << " ms, simd "
               << fmt(pt.flatMs > 0 ? pt.flatScalarMs / pt.flatMs : 0)
-              << "x), flat+dedup " << fmt(pt.flatDedupMs) << " ms ("
-              << fmt(pt.flatDedupMs > 0 ? pt.callbackMs / pt.flatDedupMs : 0)
-              << "x), schedules " << (pt.match ? "match" : "DIVERGE") << "\n";
+              << "x), " << fmt(pt.flatMs > 0 ? pt.callbackMs / pt.flatMs : 0)
+              << "x vs callback, schedules "
+              << (pt.match ? "match" : "DIVERGE") << "\n";
   }
 
   // Kernel-level scalar-vs-SIMD micro timings at the large grid sizes
@@ -436,13 +426,10 @@ int main(int argc, char** argv) {
        << ", \"capacity\": " << p.capacity << ", \"callback_ms\": "
        << fmt(p.callbackMs) << ", \"flat_ms\": " << fmt(p.flatMs)
        << ", \"flat_scalar_ms\": " << fmt(p.flatScalarMs)
-       << ", \"flat_dedup_ms\": " << fmt(p.flatDedupMs)
        << ", \"speedup_flat\": "
        << fmt(p.flatMs > 0 ? p.callbackMs / p.flatMs : 0)
        << ", \"speedup_simd_vs_scalar\": "
        << fmt(p.flatMs > 0 ? p.flatScalarMs / p.flatMs : 0)
-       << ", \"speedup_flat_dedup\": "
-       << fmt(p.flatDedupMs > 0 ? p.callbackMs / p.flatDedupMs : 0)
        << ", \"dedup_classes\": " << p.dedupClasses << ", \"dedup_data\": "
        << (static_cast<std::int64_t>(p.data) - p.dedupClasses)
        << ", \"schedules_match\": " << (p.match ? "true" : "false") << "}"

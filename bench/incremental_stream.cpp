@@ -185,7 +185,6 @@ bool runCase(int gridN, int dataN, int groupSize, int windows,
   cfg.capacity = PipelineConfig::kUnlimited;  // warm path needs static masks
   SchedulerOptions opts;
   opts.capacity = -1;
-  opts.incremental = true;
 
   IncrementalSolver solver;
   std::vector<double> coldMs, warmMs;
@@ -276,17 +275,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // The gate only means something when the warm path can actually engage;
-  // under PIMSCHED_INCREMENTAL=0 the bench still verifies identity (every
-  // solve cold-falls) but reports instead of failing.
-  SchedulerOptions probe;
-  probe.incremental = true;
-  const bool warmEnabled = incrementalEnabled(probe);
-  if (!warmEnabled) {
-    std::cerr << "warning: PIMSCHED_INCREMENTAL disables the warm path; "
-                 "identity is still checked but the speedup gate is off\n";
-  }
-
   const int windows = 16;
   const int churnWindows = std::max(1, windows * churnPct / 100);
   // {PIM grid edge, data-array edge, sharing-group size}: the 32^2 and
@@ -333,8 +321,6 @@ int main(int argc, char** argv) {
      << churnPct << ", \"touched_pct\": " << touchedPct << ", \"steps\": "
      << steps << ", \"smoke\": " << (smoke ? "true" : "false") << "},\n"
      << "  \"cpu_count\": " << hw << ",\n"
-     << "  \"incremental_enabled\": " << (warmEnabled ? "true" : "false")
-     << ",\n"
      << "  \"min_speedup_gate\": " << fmt(kMinSpeedup) << ",\n"
      << "  \"cases\": [\n";
   for (std::size_t i = 0; i < cases.size(); ++i) {
@@ -354,10 +340,9 @@ int main(int argc, char** argv) {
   os << "  ]\n}\n";
   std::cout << "wrote " << outPath << "\n";
 
-  // Perf gate: every full-size case must clear the floor. Smoke runs and
-  // force-disabled warm paths report the figures without gating (the CI
-  // identity matrix runs this under PIMSCHED_INCREMENTAL=0 on purpose).
-  if (!smoke && warmEnabled) {
+  // Perf gate: every full-size case must clear the floor. Smoke runs report
+  // the figures without gating.
+  if (!smoke) {
     for (const CaseResult& c : cases) {
       if (c.speedup() < kMinSpeedup) {
         std::cerr << "error: steady-state incremental speedup "

@@ -124,7 +124,8 @@ void BM_GomcdsParallel(benchmark::State& state) {
   const WindowedRefs refs = benchRefs(grid, 32);
   const auto threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scheduleGomcdsParallel(refs, model, threads));
+    benchmark::DoNotOptimize(
+        scheduleGomcds(refs, model, {}, GomcdsEngine::kChamfer, threads));
   }
 }
 BENCHMARK(BM_GomcdsParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);

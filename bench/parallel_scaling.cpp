@@ -73,7 +73,7 @@ SweepPoint runPipeline(const WindowedRefs& refs, const CostModel& model,
 
   auto t0 = Clock::now();
   const DataSchedule schedule =
-      scheduleGomcdsParallel(refs, model, opts, threads);
+      scheduleGomcds(refs, model, opts, GomcdsEngine::kChamfer, threads);
   point.scheduleMs = msSince(t0);
 
   t0 = Clock::now();

@@ -6,7 +6,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/data_order.hpp"
@@ -24,33 +23,6 @@ namespace pimsched {
 
 namespace detail {
 
-void throwGomcdsInfeasible(const CostModel& model) {
-  // On a faulted mesh an infeasible cost-graph usually means the faults
-  // severed every placement path (dead mesh, partition), which callers
-  // handle differently from running out of slots.
-  if (const FaultMap* faults = model.faults()) {
-    if (faults->aliveProcCount() == 0 || model.distances().partitioned()) {
-      throw UnreachableError(
-          "scheduleGomcds: faulted mesh cannot host data (" +
-          faults->summary() + ")");
-    }
-  }
-  throw std::runtime_error(
-      "scheduleGomcds: capacity infeasible (no placement path)");
-}
-
-void throwGomcdsSlotDisagreement(DataId d, ProcId p, WindowId w,
-                                 const OccupancyMap& occ) {
-  // nodeCost returned kInfiniteCost for full processors, so a path through
-  // one means the solver and the occupancy maps disagree — fail loudly
-  // instead of corrupting the capacity accounting.
-  throw std::logic_error(
-      "scheduleGomcds: solver placed datum " + std::to_string(d) +
-      " on full processor " + std::to_string(p) + " in window " +
-      std::to_string(w) + " (used " + std::to_string(occ.used(p)) + "/" +
-      std::to_string(occ.capacity()) + ")");
-}
-
 bool staticForbiddenSet(const CostModel& model,
                         const SchedulerOptions& options) {
   if (options.capacity >= 0) return false;
@@ -63,19 +35,8 @@ bool staticForbiddenSet(const CostModel& model,
   return true;
 }
 
-DedupClasses computeDedupClasses(const WindowedRefs& refs, bool enabled) {
+DedupClasses computeDedupClasses(const WindowedRefs& refs) {
   const DataId n = refs.numData();
-  if (!enabled) {
-    DedupClasses out;
-    out.classOf.resize(static_cast<std::size_t>(n));
-    out.rep.resize(static_cast<std::size_t>(n));
-    out.size.assign(static_cast<std::size_t>(n), 1);
-    for (DataId d = 0; d < n; ++d) {
-      out.classOf[static_cast<std::size_t>(d)] = d;
-      out.rep[static_cast<std::size_t>(d)] = d;
-    }
-    return out;
-  }
   // Signature buckets pre-screen; full row comparison against the class
   // representative confirms, so hash collisions cannot merge classes.
   DedupClasses out = buildEquivalenceClasses(
@@ -102,24 +63,84 @@ void buildTransTable(const CostModel& model, std::vector<Cost>& trans) {
   PIMSCHED_COUNTER_ADD("gomcds.trans_table.builds", 1);
 }
 
+SlotLedger::SlotLedger(const CostModel& model, std::int64_t capacity,
+                       int numWindows, bool trackFull)
+    : model_(&model),
+      occupancy_(static_cast<std::size_t>(numWindows),
+                 OccupancyMap(model.grid(), capacity)) {
+  if (const FaultMap* faults = model.faults()) {
+    for (OccupancyMap& occ : occupancy_) applyFaultCapacity(occ, *faults);
+  }
+  if (!trackFull) return;
+  const std::size_t P = static_cast<std::size_t>(model.grid().size());
+  full_.resize(occupancy_.size() * P);
+  for (std::size_t w = 0; w < occupancy_.size(); ++w) {
+    for (std::size_t p = 0; p < P; ++p) {
+      full_[w * P + p] = !occupancy_[w].hasRoom(static_cast<ProcId>(p));
+    }
+  }
+}
+
+bool SlotLedger::fits(const LayeredPath& path) const {
+  for (std::size_t w = 0; w < occupancy_.size(); ++w) {
+    if (!occupancy_[w].hasRoom(static_cast<ProcId>(path.nodes[w]))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void SlotLedger::commit(DataId d, const LayeredPath& path,
+                        DataSchedule& schedule) {
+  if (!path.feasible()) {
+    // On a faulted mesh an infeasible cost-graph usually means the faults
+    // severed every placement path (dead mesh, partition), which callers
+    // handle differently from running out of slots.
+    if (const FaultMap* faults = model_->faults()) {
+      if (faults->aliveProcCount() == 0 || model_->distances().partitioned()) {
+        throw UnreachableError(
+            "scheduleGomcds: faulted mesh cannot host data (" +
+            faults->summary() + ")");
+      }
+    }
+    throw std::runtime_error(
+        "scheduleGomcds: capacity infeasible (no placement path)");
+  }
+  const std::size_t P = static_cast<std::size_t>(model_->grid().size());
+  for (std::size_t w = 0; w < occupancy_.size(); ++w) {
+    const auto p = static_cast<ProcId>(path.nodes[w]);
+    OccupancyMap& occ = occupancy_[w];
+    if (!occ.tryPlace(p)) {
+      // Full slots are infinite node costs, so a path through one means
+      // the solver and the ledger disagree — fail loudly instead of
+      // corrupting the capacity accounting.
+      throw std::logic_error(
+          "scheduleGomcds: solver placed datum " + std::to_string(d) +
+          " on full processor " + std::to_string(p) + " in window " +
+          std::to_string(w) + " (used " + std::to_string(occ.used(p)) + "/" +
+          std::to_string(occ.capacity()) + ")");
+    }
+    if (!full_.empty()) {
+      full_[w * P + static_cast<std::size_t>(p)] = !occ.hasRoom(p);
+    }
+    schedule.setCenter(d, static_cast<WindowId>(w), p);
+  }
+}
+
 }  // namespace detail
 
 namespace {
 
 using detail::DedupClasses;
-using detail::GomcdsScratch;
-using detail::buildTransTable;
-using detail::computeDedupClasses;
-using detail::staticForbiddenSet;
 
-[[noreturn]] void throwInfeasible(const CostModel& model) {
-  detail::throwGomcdsInfeasible(model);
-}
-
-[[noreturn]] void throwSlotDisagreement(DataId d, ProcId p, WindowId w,
-                                        const OccupancyMap& occ) {
-  detail::throwGomcdsSlotDisagreement(d, p, w, occ);
-}
+/// Per-thread arena for the solve path: every buffer is grow-only, so
+/// after the first datum on a thread the steady-state loop performs zero
+/// heap allocations per datum.
+struct GomcdsScratch {
+  LayeredDagScratch dag;  ///< dp + relaxed layers of the solver kernels
+  LayeredPath path;       ///< reused per-datum solution
+  CostBuffer serve;       ///< flat W x P node-cost table fed to the solver
+};
 
 /// Flat W x P serving-cost tables per equivalence class. Tables of shared
 /// classes (>= 2 members) are built once and retained; singleton classes
@@ -144,6 +165,19 @@ class ClassServeTables {
     }
     buildInto(cls, scratch.serve);
     return scratch.serve;
+  }
+
+  /// Writes class `cls`'s table with every full slot forbidden into
+  /// scratch.serve (the forbidden mask applied through the dispatched SIMD
+  /// kernel; a singleton's table is masked in place).
+  void masked(int cls, const std::vector<char>& full, GomcdsScratch& scratch) {
+    const std::span<const Cost> serve = table(cls, scratch);
+    if (serve.data() != scratch.serve.data()) {
+      scratch.serve.resize(serve.size());
+      std::copy(serve.begin(), serve.end(), scratch.serve.begin());
+    }
+    simd::active().maskInf(reinterpret_cast<const unsigned char*>(full.data()),
+                           scratch.serve.data(), full.size());
   }
 
   /// Builds every shared-class table upfront (the parallel planner reads
@@ -182,314 +216,136 @@ class ClassServeTables {
   std::vector<std::vector<Cost>> tables_;
 };
 
-/// Applies the forbidden mask to a class serve table: out = full ? inf :
-/// serve, elementwise over the flat W x P layout, through the dispatched
-/// SIMD mask kernel.
-void maskServe(std::span<const Cost> serve, const std::vector<char>& full,
-               CostBuffer& out) {
-  out.resize(serve.size());
-  std::copy(serve.begin(), serve.end(), out.begin());
-  simd::active().maskInf(reinterpret_cast<const unsigned char*>(full.data()),
-                         out.data(), out.size());
-}
-
 }  // namespace
 
 DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
                             const SchedulerOptions& options,
-                            GomcdsEngine engine) {
+                            GomcdsEngine engine, unsigned threads) {
   PIMSCHED_SCOPED_TIMER("sched.gomcds");
-  DataSchedule schedule(refs.numData(), refs.numWindows());
-  const Grid& grid = model.grid();
-  const int W = refs.numWindows();
-  const int P = grid.size();
-  const Cost beta = model.params().hopCost * model.params().moveVolume;
-
-  std::vector<OccupancyMap> occupancy(
-      static_cast<std::size_t>(W), OccupancyMap(grid, options.capacity));
-  if (const FaultMap* faults = model.faults()) {
-    for (OccupancyMap& occ : occupancy) applyFaultCapacity(occ, *faults);
-  }
-
-  const bool useChamfer =
-      engine == GomcdsEngine::kChamfer && !model.faultAware();
-  std::vector<Cost> trans;
-  if (!useChamfer) buildTransTable(model, trans);
-
-  const DedupClasses classes = computeDedupClasses(refs, options.dedup);
-  ClassServeTables tables(refs, model, classes);
-  const bool staticMask = staticForbiddenSet(model, options);
-
-  // Under a static forbidden set every member of a class takes the same
-  // path; solve once per class on first use. Under capacity pressure the
-  // mask grows between data, so each datum gets a masked solve (reusing
-  // the class serve table); full[] mirrors !occupancy[w].hasRoom(p).
-  std::vector<LayeredPath> classPaths(
-      staticMask && options.dedup ? classes.rep.size() : 0);
-  std::vector<char> classSolved(classPaths.size(), 0);
-  std::vector<char> full;
-  if (!staticMask) {
-    full.resize(static_cast<std::size_t>(W) * static_cast<std::size_t>(P));
-    for (WindowId w = 0; w < W; ++w) {
-      for (ProcId p = 0; p < P; ++p) {
-        full[static_cast<std::size_t>(w) * static_cast<std::size_t>(P) +
-             static_cast<std::size_t>(p)] =
-            !occupancy[static_cast<std::size_t>(w)].hasRoom(p);
-      }
-    }
-  }
-
-  GomcdsScratch& scratch = workerScratch<GomcdsScratch>();
-  const auto solveInto = [&](std::span<const Cost> nodeCosts,
-                             LayeredPath& out) {
-    if (useChamfer) {
-      LayeredDagSolver::solveManhattanFlatInto(grid, W, nodeCosts, beta,
-                                               scratch.dag, out);
-    } else {
-      LayeredDagSolver::solveFlatInto(W, P, nodeCosts, trans, scratch.dag,
-                                      out);
-    }
-    PIMSCHED_COUNTER_ADD("gomcds.flat.solves", 1);
-  };
-
-  for (const DataId d : dataVisitOrder(refs, options.order)) {
-    const int cls = classes.classOf[static_cast<std::size_t>(d)];
-    const LayeredPath* path = nullptr;
-    if (staticMask) {
-      const bool shared = !classPaths.empty() &&
-                          classes.size[static_cast<std::size_t>(cls)] > 1;
-      if (shared) {
-        if (!classSolved[static_cast<std::size_t>(cls)]) {
-          solveInto(tables.table(cls, scratch),
-                    classPaths[static_cast<std::size_t>(cls)]);
-          classSolved[static_cast<std::size_t>(cls)] = 1;
-        }
-        path = &classPaths[static_cast<std::size_t>(cls)];
-      } else {
-        solveInto(tables.table(cls, scratch), scratch.path);
-        path = &scratch.path;
-      }
-    } else {
-      const std::span<const Cost> serve = tables.table(cls, scratch);
-      if (serve.data() == scratch.serve.data()) {
-        // Singleton table already lives in scratch — mask it in place.
-        simd::active().maskInf(
-            reinterpret_cast<const unsigned char*>(full.data()),
-            scratch.serve.data(), full.size());
-      } else {
-        maskServe(serve, full, scratch.serve);
-      }
-      solveInto(scratch.serve, scratch.path);
-      path = &scratch.path;
-    }
-
-    if (!path->feasible()) throwInfeasible(model);
-    for (WindowId w = 0; w < W; ++w) {
-      const auto p =
-          static_cast<ProcId>(path->nodes[static_cast<std::size_t>(w)]);
-      if (!occupancy[static_cast<std::size_t>(w)].tryPlace(p)) {
-        throwSlotDisagreement(d, p, w, occupancy[static_cast<std::size_t>(w)]);
-      }
-      if (!staticMask) {
-        full[static_cast<std::size_t>(w) * static_cast<std::size_t>(P) +
-             static_cast<std::size_t>(p)] =
-            !occupancy[static_cast<std::size_t>(w)].hasRoom(p);
-      }
-      schedule.setCenter(d, w, p);
-    }
-    PIMSCHED_COUNTER_ADD("sched.gomcds.data", 1);
-  }
-  return schedule;
-}
-
-DataSchedule scheduleGomcdsParallel(const WindowedRefs& refs,
-                                    const CostModel& model,
-                                    const SchedulerOptions& options,
-                                    unsigned threads) {
-  PIMSCHED_SCOPED_TIMER("sched.gomcds_parallel");
   const Grid& grid = model.grid();
   const int W = refs.numWindows();
   const int P = grid.size();
   const Cost beta = model.params().hopCost * model.params().moveVolume;
   DataSchedule schedule(refs.numData(), W);
-
   const std::vector<DataId> order = dataVisitOrder(refs, options.order);
   const std::size_t n = order.size();
 
-  std::vector<OccupancyMap> occupancy(
-      static_cast<std::size_t>(W), OccupancyMap(grid, options.capacity));
-  if (const FaultMap* faults = model.faults()) {
-    for (OccupancyMap& occ : occupancy) applyFaultCapacity(occ, *faults);
-  }
-
-  const bool useChamfer = !model.faultAware();
+  const bool useChamfer =
+      engine == GomcdsEngine::kChamfer && !model.faultAware();
   std::vector<Cost> trans;
-  if (!useChamfer) buildTransTable(model, trans);
+  if (!useChamfer) detail::buildTransTable(model, trans);
 
-  const DedupClasses classes = computeDedupClasses(refs, options.dedup);
+  const DedupClasses classes = detail::computeDedupClasses(refs);
   ClassServeTables tables(refs, model, classes);
-  tables.buildShared(threads);
-  const bool staticMask = staticForbiddenSet(model, options);
+  const bool staticMask = detail::staticForbiddenSet(model, options);
+  detail::SlotLedger ledger(model, options.capacity, W, !staticMask);
+  const auto classOf = [&](DataId d) {
+    return classes.classOf[static_cast<std::size_t>(d)];
+  };
 
+  // gomcds.flat.solves is accounted in bulk per fan-out — a per-solve add
+  // would have every worker hammering one counter cache line.
   const auto solveInto = [&](std::span<const Cost> nodeCosts,
                              GomcdsScratch& scratch, LayeredPath& out) {
     if (useChamfer) {
-      LayeredDagSolver::solveManhattanFlatInto(grid, W, nodeCosts, beta,
-                                               scratch.dag, out);
+      LayeredDagSolver::solveManhattan(grid, W, nodeCosts, beta, 0,
+                                       scratch.dag.dp, scratch.dag, out);
     } else {
-      LayeredDagSolver::solveFlatInto(W, P, nodeCosts, trans, scratch.dag,
-                                      out);
+      LayeredDagSolver::solveTable(W, P, nodeCosts, trans, 0, scratch.dag.dp,
+                                   scratch.dag, out);
     }
-    // gomcds.flat.solves is accounted in bulk per fan-out below — a
-    // per-solve add here would have every worker hammering one counter
-    // cache line.
   };
 
   if (staticMask) {
-    // The forbidden set never changes, so plans cannot conflict: one solve
-    // per equivalence class, fanned out over the pool, then a single
-    // sequential commit pass in visit order.
-    PIMSCHED_COUNTER_ADD("sched.gomcds.rounds", 1);
+    // The forbidden set never changes, so every member of a class takes the
+    // same path and plans cannot conflict: one solve per class, fanned out
+    // over the pool, then a single commit pass in visit order.
+    if (threads != 1) PIMSCHED_COUNTER_ADD("sched.gomcds.rounds", 1);
     std::vector<LayeredPath> classPaths(classes.rep.size());
-    parallelFor(static_cast<std::int64_t>(classes.rep.size()), threads,
+    parallelFor(static_cast<std::int64_t>(classPaths.size()), threads,
                 [&](std::int64_t k) {
                   GomcdsScratch& scratch = workerScratch<GomcdsScratch>();
                   solveInto(tables.table(static_cast<int>(k), scratch),
                             scratch, classPaths[static_cast<std::size_t>(k)]);
                 });
     PIMSCHED_COUNTER_ADD("gomcds.flat.solves",
-                         static_cast<std::int64_t>(classes.rep.size()));
-    for (std::size_t i = 0; i < n; ++i) {
-      const DataId d = order[i];
-      const LayeredPath& path =
-          classPaths[static_cast<std::size_t>(
-              classes.classOf[static_cast<std::size_t>(d)])];
-      if (!path.feasible()) throwInfeasible(model);
-      for (WindowId w = 0; w < W; ++w) {
-        const auto p =
-            static_cast<ProcId>(path.nodes[static_cast<std::size_t>(w)]);
-        if (!occupancy[static_cast<std::size_t>(w)].tryPlace(p)) {
-          throwSlotDisagreement(d, p, w,
-                                occupancy[static_cast<std::size_t>(w)]);
-        }
-        schedule.setCenter(d, w, p);
+                         static_cast<std::int64_t>(classPaths.size()));
+    for (const DataId d : order) {
+      ledger.commit(d, classPaths[static_cast<std::size_t>(classOf(d))],
+                    schedule);
+    }
+  } else if (threads == 1) {
+    // Capacity pressure, one thread: the mask grows between data, so each
+    // datum gets its own masked solve (reusing the class serve table).
+    GomcdsScratch& scratch = workerScratch<GomcdsScratch>();
+    for (const DataId d : order) {
+      tables.masked(classOf(d), ledger.full(), scratch);
+      solveInto(scratch.serve, scratch, scratch.path);
+      ledger.commit(d, scratch.path, schedule);
+    }
+    PIMSCHED_COUNTER_ADD("gomcds.flat.solves", static_cast<std::int64_t>(n));
+  } else {
+    // Capacity pressure, plan/commit rounds. plans[i] is the solution for
+    // order[i]; planned[i] marks it current (solved against a snapshot no
+    // newer placement invalidated).
+    tables.buildShared(threads);
+    std::vector<LayeredPath> plans(n);
+    std::vector<char> planned(n, 0);
+    std::vector<std::size_t> toSolve;
+    toSolve.reserve(n);
+    std::size_t committed = 0;  // order[0..committed) are placed
+    while (committed < n) {
+      PIMSCHED_COUNTER_ADD("sched.gomcds.rounds", 1);
+      // Plan phase: solve every pending datum without a current plan
+      // against the read-only full[] snapshot. Pure per-datum work — safe
+      // to fan out; shared-class serve tables were prebuilt above.
+      toSolve.clear();
+      for (std::size_t i = committed; i < n; ++i) {
+        if (!planned[i]) toSolve.push_back(i);
       }
-    }
-    PIMSCHED_COUNTER_ADD("sched.gomcds.data",
-                         static_cast<std::int64_t>(refs.numData()));
-    return schedule;
-  }
+      parallelFor(static_cast<std::int64_t>(toSolve.size()), threads,
+                  [&](std::int64_t k) {
+                    const std::size_t i = toSolve[static_cast<std::size_t>(k)];
+                    GomcdsScratch& scratch = workerScratch<GomcdsScratch>();
+                    tables.masked(classOf(order[i]), ledger.full(), scratch);
+                    solveInto(scratch.serve, scratch, plans[i]);
+                  });
+      // Marking plans current happens after the barrier: workers writing
+      // adjacent planned[] bytes from different cores would false-share
+      // the line for no benefit — every datum in toSolve was solved.
+      for (const std::size_t i : toSolve) planned[i] = 1;
+      PIMSCHED_COUNTER_ADD("gomcds.flat.solves",
+                           static_cast<std::int64_t>(toSolve.size()));
 
-  // Capacity-constrained plan/commit rounds. full[] snapshots the
-  // forbidden set for the plan phase; the commit pass keeps it in sync.
-  std::vector<char> full(static_cast<std::size_t>(W) *
-                         static_cast<std::size_t>(P));
-  for (WindowId w = 0; w < W; ++w) {
-    for (ProcId p = 0; p < P; ++p) {
-      full[static_cast<std::size_t>(w) * static_cast<std::size_t>(P) +
-           static_cast<std::size_t>(p)] =
-          !occupancy[static_cast<std::size_t>(w)].hasRoom(p);
-    }
-  }
-
-  // plans[i] is the layered-DAG solution for order[i]; planned[i] marks it
-  // current (solved against a snapshot no newer placements invalidated).
-  std::vector<LayeredPath> plans(n);
-  std::vector<char> planned(n, 0);
-  std::vector<std::size_t> toSolve;
-  toSolve.reserve(n);
-
-  const auto pathFits = [&](const LayeredPath& path) {
-    for (WindowId w = 0; w < W; ++w) {
-      if (!occupancy[static_cast<std::size_t>(w)].hasRoom(
-              static_cast<ProcId>(path.nodes[static_cast<std::size_t>(w)]))) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  std::size_t committed = 0;  // order[0..committed) are placed
-  while (committed < n) {
-    PIMSCHED_COUNTER_ADD("sched.gomcds.rounds", 1);
-    // Plan phase: solve every pending datum without a current plan against
-    // the read-only forbidden-set snapshot. Pure per-datum work — safe to
-    // fan out; shared-class serve tables were prebuilt above.
-    toSolve.clear();
-    for (std::size_t i = committed; i < n; ++i) {
-      if (!planned[i]) toSolve.push_back(i);
-    }
-    parallelFor(
-        static_cast<std::int64_t>(toSolve.size()), threads,
-        [&](std::int64_t k) {
-          const std::size_t i = toSolve[static_cast<std::size_t>(k)];
-          const DataId d = order[i];
-          const int cls = classes.classOf[static_cast<std::size_t>(d)];
-          GomcdsScratch& scratch = workerScratch<GomcdsScratch>();
-          const std::span<const Cost> serve = tables.table(cls, scratch);
-          if (serve.data() == scratch.serve.data()) {
-            simd::active().maskInf(
-                reinterpret_cast<const unsigned char*>(full.data()),
-                scratch.serve.data(), full.size());
-          } else {
-            maskServe(serve, full, scratch.serve);
-          }
-          solveInto(scratch.serve, scratch, plans[i]);
-        });
-    // Marking plans current happens after the barrier: workers writing
-    // adjacent planned[] bytes from different cores would false-share the
-    // line for no benefit — every datum in toSolve was solved regardless.
-    for (const std::size_t i : toSolve) planned[i] = 1;
-    PIMSCHED_COUNTER_ADD("gomcds.flat.solves",
-                         static_cast<std::int64_t>(toSolve.size()));
-
-    // Commit phase: sequential, in visit order — the deterministic
-    // tie-break that makes the result thread-count independent and equal
-    // to the sequential engine. Stops at the first datum whose planned
-    // path lost a slot to a commit it did not see.
-    std::size_t i = committed;
-    for (; i < n; ++i) {
+      // Commit phase: sequential, in visit order — the deterministic
+      // tie-break that makes the result thread-count independent. Stops at
+      // the first datum whose plan lost a slot to a commit it did not see.
       // A plan infeasible against any snapshot stays infeasible under the
-      // only-growing occupancy, exactly when the sequential engine throws.
-      if (!plans[i].feasible()) throwInfeasible(model);
-      if (!pathFits(plans[i])) break;
-      const DataId d = order[i];
-      for (WindowId w = 0; w < W; ++w) {
-        const auto p =
-            static_cast<ProcId>(plans[i].nodes[static_cast<std::size_t>(w)]);
-        if (!occupancy[static_cast<std::size_t>(w)].tryPlace(p)) {
-          throwSlotDisagreement(d, p, w,
-                                occupancy[static_cast<std::size_t>(w)]);
-        }
-        full[static_cast<std::size_t>(w) * static_cast<std::size_t>(P) +
-             static_cast<std::size_t>(p)] =
-            !occupancy[static_cast<std::size_t>(w)].hasRoom(p);
-        schedule.setCenter(d, w, p);
+      // only-growing occupancy, so commit() throws exactly where the
+      // sequential loop would.
+      std::size_t i = committed;
+      for (; i < n; ++i) {
+        if (plans[i].feasible() && !ledger.fits(plans[i])) break;
+        ledger.commit(order[i], plans[i], schedule);
       }
-    }
-    if (i < n) {
-      // Conflict: keep still-fitting plans (they remain optimal under the
-      // grown forbidden set), re-solve only the invalidated ones.
-      PIMSCHED_COUNTER_ADD("sched.gomcds.conflicts", 1);
-      for (std::size_t j = i; j < n; ++j) {
-        // Infeasible plans stay "planned": occupancy only grows, so they
-        // stay infeasible and throw when the commit pass reaches them.
-        if (planned[j] && plans[j].feasible() && !pathFits(plans[j])) {
-          planned[j] = 0;
+      if (i < n) {
+        // Conflict: keep still-fitting plans (they remain optimal under the
+        // grown forbidden set), re-solve only the invalidated ones.
+        // Infeasible plans stay planned and throw when the pass reaches
+        // them.
+        PIMSCHED_COUNTER_ADD("sched.gomcds.conflicts", 1);
+        for (std::size_t j = i; j < n; ++j) {
+          if (planned[j] && plans[j].feasible() && !ledger.fits(plans[j])) {
+            planned[j] = 0;
+          }
         }
       }
+      committed = i;
     }
-    committed = i;
   }
   PIMSCHED_COUNTER_ADD("sched.gomcds.data",
                        static_cast<std::int64_t>(refs.numData()));
   return schedule;
-}
-
-DataSchedule scheduleGomcdsParallel(const WindowedRefs& refs,
-                                    const CostModel& model,
-                                    unsigned threads) {
-  return scheduleGomcdsParallel(refs, model, SchedulerOptions{}, threads);
 }
 
 }  // namespace pimsched

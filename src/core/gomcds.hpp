@@ -26,36 +26,27 @@ enum class GomcdsEngine { kChamfer, kNaive };
 /// are scheduled sequentially and a (window, processor) slot that is full
 /// becomes a forbidden node for later data.
 ///
-/// Serving-cost tables are memoized per call (cost/cost_cache.hpp): data
-/// with identical per-window reference strings — common in matmul/LU
-/// traces — share one table instead of recomputing it.
+/// Data with byte-identical windowed reference strings — common in
+/// matmul/LU traces — form one equivalence class and share one serving-cost
+/// table; under a static forbidden set (no capacity pressure) they also
+/// share one solved path. Table rows come from a per-call CenterCostCache
+/// (cost/cost_cache.hpp).
+///
+/// `threads` executors (0 = hardware concurrency) solve the per-datum DAGs;
+/// the schedule is bit-identical for every thread count. Under a static
+/// forbidden set the class paths are solved in parallel and committed in
+/// visit order. Under capacity pressure, threads == 1 runs the sequential
+/// per-datum loop; any other value runs plan/commit rounds: workers solve
+/// every pending datum against a read-only snapshot of the full slots, then
+/// a sequential commit pass places data in visit order until the first
+/// plan that lost a slot to an earlier commit, and only the invalidated
+/// plans are re-solved next round. A plan that still fits the grown
+/// forbidden set is still the cost- and tie-break-minimal path the
+/// sequential loop would pick, which is what makes the result identical.
+/// Helper workers come from the shared ThreadPool (util/thread_pool.hpp).
 [[nodiscard]] DataSchedule scheduleGomcds(
     const WindowedRefs& refs, const CostModel& model,
     const SchedulerOptions& options = {},
-    GomcdsEngine engine = GomcdsEngine::kChamfer);
-
-/// Multi-threaded GOMCDS, bit-identical to scheduleGomcds(refs, model,
-/// options) for any options, capacity included. Two-phase plan/commit:
-/// workers solve the per-datum layered DAGs in parallel against a
-/// read-only snapshot of the occupancy maps, then a sequential commit
-/// pass walks the data in visit order (the deterministic tie-break) and
-/// places every datum whose planned path still fits. The first datum
-/// whose plan hits a slot filled after its snapshot stops the pass; only
-/// plans invalidated by the new placements are re-solved in the next
-/// round, so conflict-free workloads finish in a single parallel round.
-///
-/// Equality to the sequential engine holds because a planned path that
-/// stays feasible under the (larger) commit-time forbidden set is still
-/// the cost- and tie-break-minimal path the sequential scheduler would
-/// pick. threads = 0 uses hardware concurrency; helper workers come from
-/// the shared ThreadPool (util/thread_pool.hpp).
-[[nodiscard]] DataSchedule scheduleGomcdsParallel(
-    const WindowedRefs& refs, const CostModel& model,
-    const SchedulerOptions& options, unsigned threads = 0);
-
-/// Back-compat convenience: unlimited capacity, id order.
-[[nodiscard]] DataSchedule scheduleGomcdsParallel(const WindowedRefs& refs,
-                                                  const CostModel& model,
-                                                  unsigned threads = 0);
+    GomcdsEngine engine = GomcdsEngine::kChamfer, unsigned threads = 1);
 
 }  // namespace pimsched

@@ -1,6 +1,6 @@
 #pragma once
 
-// Internal machinery shared by the cold GOMCDS engines (core/gomcds.cpp)
+// Internal machinery shared by the cold GOMCDS driver (core/gomcds.cpp)
 // and the incremental warm-start solver (core/incremental.cpp). Not part of
 // the public scheduling API — include only from core/ implementation files
 // and tests that need the injectable-signature seams.
@@ -10,27 +10,14 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cost/cost_model.hpp"
+#include "core/schedule.hpp"
 #include "core/scheduler_options.hpp"
+#include "cost/cost_model.hpp"
 #include "graph/layered_dag.hpp"
 #include "pim/memory.hpp"
 #include "trace/windowed_refs.hpp"
-#include "util/aligned.hpp"
 
 namespace pimsched::detail {
-
-[[noreturn]] void throwGomcdsInfeasible(const CostModel& model);
-[[noreturn]] void throwGomcdsSlotDisagreement(DataId d, ProcId p, WindowId w,
-                                              const OccupancyMap& occ);
-
-/// Per-thread arena for the flat solve path: every buffer is grow-only, so
-/// after the first datum on a thread the steady-state loop performs zero
-/// heap allocations per datum.
-struct GomcdsScratch {
-  LayeredDagScratch dag;  ///< dp + relaxed layers of the flat solver
-  LayeredPath path;       ///< reused per-datum solution
-  CostBuffer serve;       ///< flat W x P node-cost table fed to the solver
-};
 
 /// True when the forbidden (window, processor) set cannot change while data
 /// are placed: capacity is unlimited and no *alive* processor carries a
@@ -43,8 +30,7 @@ struct GomcdsScratch {
 /// Equivalence classes of data whose windowed reference strings are
 /// byte-identical — they pose the same per-datum DAG subproblem, so the
 /// serving-cost tables (and, under a static forbidden set, the solved
-/// path) are computed once per class. With dedup disabled every datum is
-/// its own (singleton) class.
+/// path) are computed once per class.
 struct DedupClasses {
   std::vector<int> classOf;  ///< datum -> class index
   std::vector<DataId> rep;   ///< class -> representative (lowest-id) datum
@@ -88,14 +74,43 @@ DedupClasses buildEquivalenceClasses(DataId n, const SigFn& sig,
 
 /// The production class computation: FNV-1a whole-datum signatures
 /// prescreen, WindowedRefs::sameRefs confirms. Emits the gomcds.dedup.*
-/// counters. With dedup disabled every datum is its own singleton class.
-[[nodiscard]] DedupClasses computeDedupClasses(const WindowedRefs& refs,
-                                               bool enabled);
+/// counters.
+[[nodiscard]] DedupClasses computeDedupClasses(const WindowedRefs& refs);
 
 /// The shared beta * distance transition table of the faulted / naive
 /// engines: trans[q * P + p] = model.moveCost(q, p), built once per
 /// scheduling call and reused by every datum (fault distances can be
 /// asymmetric, so rows are indexed by source).
 void buildTransTable(const CostModel& model, std::vector<Cost>& trans);
+
+/// Slot accounting of one scheduling call: per-window occupancy maps with
+/// the capacity and every fault capacity limit applied, plus — when the
+/// forbidden set is dynamic — full[], the flat W x P mask of slots with no
+/// room left, laid out like the serve tables so the SIMD mask kernel can
+/// apply it directly. commit() is the one place a solved path becomes
+/// schedule cells.
+class SlotLedger {
+ public:
+  SlotLedger(const CostModel& model, std::int64_t capacity, int numWindows,
+             bool trackFull);
+
+  /// Mask of full (window, processor) slots; empty unless tracked.
+  [[nodiscard]] const std::vector<char>& full() const { return full_; }
+
+  /// True when every slot of the feasible `path` still has room.
+  [[nodiscard]] bool fits(const LayeredPath& path) const;
+
+  /// Places datum d along `path`: one slot per window, full[] kept in sync,
+  /// the centers written into `schedule`. An infeasible path throws
+  /// UnreachableError when faults severed every placement and
+  /// std::runtime_error when capacity ran out; a path through a full slot
+  /// (solver and ledger disagree) throws std::logic_error.
+  void commit(DataId d, const LayeredPath& path, DataSchedule& schedule);
+
+ private:
+  const CostModel* model_;
+  std::vector<OccupancyMap> occupancy_;
+  std::vector<char> full_;
+};
 
 }  // namespace pimsched::detail

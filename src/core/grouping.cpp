@@ -395,6 +395,10 @@ DataSchedule scheduleGroupedGomcds(const WindowedRefs& refs,
   DataSchedule schedule(refs.numData(), W);
   std::vector<OccupancyMap> occupancy(
       static_cast<std::size_t>(W), OccupancyMap(grid, options.capacity));
+  const std::size_t P = static_cast<std::size_t>(grid.size());
+  CostBuffer nodeCosts;
+  LayeredDagScratch scratch;
+  LayeredPath path;
 
   for (const DataId d : dataVisitOrder(refs, options.order)) {
     const WindowCostPrefix prefix(refs, d, model);
@@ -413,16 +417,20 @@ DataSchedule scheduleGroupedGomcds(const WindowedRefs& refs,
     // GOMCDS DP over groups: a node is (group, center); serving is the
     // merged segment's cost; a node is forbidden when the center lacks
     // room in any window of the group.
-    const auto nodeCost = [&](int i, int p) -> Cost {
+    nodeCosts.resize(static_cast<std::size_t>(g) * P);
+    for (int i = 0; i < g; ++i) {
       const WindowId begin = grouping->starts[static_cast<std::size_t>(i)];
       const WindowId end = groupEnd(i);
-      if (!grouper.roomEverywhere(static_cast<ProcId>(p), begin, end)) {
-        return kInfiniteCost;
+      Cost* row = nodeCosts.data() + static_cast<std::size_t>(i) * P;
+      for (ProcId p = 0; p < grid.size(); ++p) {
+        row[static_cast<std::size_t>(p)] =
+            grouper.roomEverywhere(p, begin, end)
+                ? prefix.segment(begin, end, p)
+                : kInfiniteCost;
       }
-      return prefix.segment(begin, end, static_cast<ProcId>(p));
-    };
-    const LayeredPath path =
-        LayeredDagSolver::solveManhattan(grid, g, nodeCost, beta);
+    }
+    LayeredDagSolver::solveManhattan(grid, g, nodeCosts, beta, 0, scratch.dp,
+                                     scratch, path);
     if (!path.feasible()) {
       throw std::runtime_error(
           "scheduleGroupedGomcds: no feasible center path");

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <span>
-#include <string_view>
 #include <unordered_set>
 
 #include "core/data_order.hpp"
@@ -13,7 +10,6 @@
 #include "cost/center_costs.hpp"
 #include "fault/fault_map.hpp"
 #include "obs/obs.hpp"
-#include "pim/memory.hpp"
 
 namespace pimsched {
 
@@ -51,7 +47,6 @@ std::uint64_t solveFingerprint(const WindowedRefs& refs, const CostModel& model,
   f.mix(static_cast<std::uint64_t>(model.params().moveVolume));
   f.mix(static_cast<std::uint64_t>(options.capacity));
   f.mix(static_cast<std::uint64_t>(options.order == DataOrder::kByWeightDesc));
-  f.mix(static_cast<std::uint64_t>(options.dedup));
   f.mix(static_cast<std::uint64_t>(engine == GomcdsEngine::kNaive));
   f.mix(static_cast<std::uint64_t>(model.faultAware()));
   if (const FaultMap* faults = model.faults()) {
@@ -149,27 +144,13 @@ bool sameSuffix(const WindowedRefs& refs, DataId a, DataId b, int from) {
 detail::DedupClasses warmClasses(const WindowedRefs& refs,
                                  const WindowedRefs& prev,
                                  const std::vector<int>& prevClassOf,
-                                 std::size_t numPrevClasses, bool dedup,
+                                 std::size_t numPrevClasses,
                                  std::vector<int>& classFrom) {
   const DataId n = refs.numData();
   const int W = refs.numWindows();
   detail::DedupClasses out;
   out.classOf.resize(static_cast<std::size_t>(n));
   classFrom.clear();
-
-  if (!dedup) {
-    // Mirror the cold classing's disabled branch: singleton per datum.
-    out.rep.resize(static_cast<std::size_t>(n));
-    out.size.assign(static_cast<std::size_t>(n), 1);
-    classFrom.resize(static_cast<std::size_t>(n));
-    for (DataId d = 0; d < n; ++d) {
-      out.classOf[static_cast<std::size_t>(d)] = d;
-      out.rep[static_cast<std::size_t>(d)] = d;
-      classFrom[static_cast<std::size_t>(d)] =
-          firstChangedWindowDirect(refs, prev, d);
-    }
-    return out;
-  }
 
   std::vector<int> prevSize(numPrevClasses, 0);
   for (DataId d = 0; d < n; ++d) {
@@ -237,15 +218,6 @@ int firstChangedWindow(const WindowedRefs& now, const WindowedRefs& prev,
       [&](int w) { return now.sameRefsAs(prev, d, w, d, w); });
 }
 
-bool incrementalEnabled(const SchedulerOptions& options) {
-  if (!options.incremental) return false;
-  if (const char* env = std::getenv("PIMSCHED_INCREMENTAL")) {
-    const std::string_view v(env);
-    if (v == "0" || v == "off" || v == "false") return false;
-  }
-  return true;
-}
-
 void IncrementalSolver::invalidate() {
   retainedValid_ = false;
   prevRefs_.reset();
@@ -284,8 +256,7 @@ DataSchedule IncrementalSolver::solve(const WindowedRefs& refs,
   // Retention requires a static forbidden set: under capacity pressure the
   // mask grows between data, so per-class dp tables and paths from one
   // datum are unsound for the next — cold solve, retain nothing.
-  if (!incrementalEnabled(options) ||
-      !detail::staticForbiddenSet(model, options) || refs.numWindows() < 1) {
+  if (!detail::staticForbiddenSet(model, options) || refs.numWindows() < 1) {
     return coldFall(refs, model, options, engine);
   }
 
@@ -315,8 +286,8 @@ DataSchedule IncrementalSolver::solve(const WindowedRefs& refs,
     std::vector<int> classFrom;
     const detail::DedupClasses classes =
         warm ? warmClasses(refs, *prevRefs_, prevClassOf_,
-                           prevStates_.size(), options.dedup, classFrom)
-             : detail::computeDedupClasses(refs, options.dedup);
+                           prevStates_.size(), classFrom)
+             : detail::computeDedupClasses(refs);
     std::vector<std::shared_ptr<ClassState>> newStates(classes.rep.size());
 
     // How many new classes reuse each previous class: a uniquely-claimed
@@ -386,13 +357,12 @@ DataSchedule IncrementalSolver::solve(const WindowedRefs& refs,
                   st->serve.data() + static_cast<std::size_t>(w) * pn);
       }
       if (useChamfer) {
-        LayeredDagSolver::solveManhattanFlatResumeInto(
-            grid, W, std::span<const Cost>(st->serve.data(), st->serve.size()),
-            beta, from, st->dp, scratch_, st->path, &st->parents);
+        LayeredDagSolver::solveManhattan(grid, W, st->serve, beta, from,
+                                         st->dp, scratch_, st->path,
+                                         &st->parents);
       } else {
-        LayeredDagSolver::solveFlatResumeInto(
-            W, P, std::span<const Cost>(st->serve.data(), st->serve.size()),
-            trans_, from, st->dp, scratch_, st->path, &st->parents);
+        LayeredDagSolver::solveTable(W, P, st->serve, trans_, from, st->dp,
+                                     scratch_, st->path, &st->parents);
       }
       ++flatSolves;
       stats_.reusedLayers += from;
@@ -410,29 +380,17 @@ DataSchedule IncrementalSolver::solve(const WindowedRefs& refs,
       PIMSCHED_COUNTER_ADD("gomcds.incremental.cold_falls", 1);
     }
 
-    // Placement mirrors the sequential cold engine's static-mask branch
-    // exactly: visit order, feasibility checks, occupancy accounting.
+    // Placement mirrors the cold driver's static-mask branch exactly:
+    // visit order, feasibility checks, occupancy accounting.
     DataSchedule schedule(refs.numData(), W);
-    std::vector<OccupancyMap> occupancy(
-        static_cast<std::size_t>(W), OccupancyMap(grid, options.capacity));
-    if (const FaultMap* faults = model.faults()) {
-      for (OccupancyMap& occ : occupancy) applyFaultCapacity(occ, *faults);
-    }
+    detail::SlotLedger ledger(model, options.capacity, W, false);
     for (const DataId d : dataVisitOrder(refs, options.order)) {
       const int cls = classes.classOf[static_cast<std::size_t>(d)];
-      const LayeredPath& path = newStates[static_cast<std::size_t>(cls)]->path;
-      if (!path.feasible()) detail::throwGomcdsInfeasible(model);
-      for (WindowId w = 0; w < W; ++w) {
-        const auto p =
-            static_cast<ProcId>(path.nodes[static_cast<std::size_t>(w)]);
-        if (!occupancy[static_cast<std::size_t>(w)].tryPlace(p)) {
-          detail::throwGomcdsSlotDisagreement(
-              d, p, w, occupancy[static_cast<std::size_t>(w)]);
-        }
-        schedule.setCenter(d, w, p);
-      }
-      PIMSCHED_COUNTER_ADD("sched.gomcds.data", 1);
+      ledger.commit(d, newStates[static_cast<std::size_t>(cls)]->path,
+                    schedule);
     }
+    PIMSCHED_COUNTER_ADD("sched.gomcds.data",
+                         static_cast<std::int64_t>(refs.numData()));
 
     prevRefs_.emplace(refs);
     prevClassOf_ = classes.classOf;

@@ -24,6 +24,11 @@ DataSchedule scheduleOnline(const WindowedRefs& refs, const CostModel& model,
   std::vector<OccupancyMap> occupancy(
       static_cast<std::size_t>(W), OccupancyMap(grid, options.capacity));
 
+  const std::size_t P = static_cast<std::size_t>(grid.size());
+  CostBuffer nodeCosts;
+  LayeredDagScratch scratch;
+  LayeredPath path;
+
   for (const DataId d : dataVisitOrder(refs, options.order)) {
     // Serving costs per window are reused across horizons.
     std::vector<std::vector<Cost>> serve(static_cast<std::size_t>(W));
@@ -41,23 +46,23 @@ DataSchedule scheduleOnline(const WindowedRefs& refs, const CostModel& model,
       // window being committed must have room — future windows' slots are
       // not reserved (they will be re-checked when committed), matching
       // an online system that cannot reserve the future.
-      const auto nodeCost = [&](int l, int p) -> Cost {
-        const WindowId win = w + static_cast<WindowId>(l);
-        Cost c = serve[static_cast<std::size_t>(win)]
-                      [static_cast<std::size_t>(p)];
-        if (l == 0) {
-          if (!occupancy[static_cast<std::size_t>(win)].hasRoom(
-                  static_cast<ProcId>(p))) {
-            return kInfiniteCost;
-          }
-          if (prev != kNoProc) {
-            c = satAdd(c, model.moveCost(prev, static_cast<ProcId>(p)));
-          }
+      nodeCosts.resize(static_cast<std::size_t>(horizon) * P);
+      for (int l = 0; l < horizon; ++l) {
+        const std::vector<Cost>& row =
+            serve[static_cast<std::size_t>(w + l)];
+        std::copy(row.begin(), row.end(),
+                  nodeCosts.data() + static_cast<std::size_t>(l) * P);
+      }
+      for (ProcId p = 0; p < grid.size(); ++p) {
+        Cost& c = nodeCosts[static_cast<std::size_t>(p)];
+        if (!occupancy[static_cast<std::size_t>(w)].hasRoom(p)) {
+          c = kInfiniteCost;
+        } else if (prev != kNoProc) {
+          c = satAdd(c, model.moveCost(prev, p));
         }
-        return c;
-      };
-      const LayeredPath path =
-          LayeredDagSolver::solveManhattan(grid, horizon, nodeCost, beta);
+      }
+      LayeredDagSolver::solveManhattan(grid, horizon, nodeCosts, beta, 0,
+                                       scratch.dp, scratch, path);
       if (!path.feasible()) {
         throw std::runtime_error(
             "scheduleOnline: capacity infeasible (window full)");

@@ -1,6 +1,7 @@
 #include "core/pipeline.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "fault/fault_trace.hpp"
@@ -76,6 +77,44 @@ void resolveCapacity(std::int64_t& capacity, std::int64_t numData,
   }
 }
 
+/// a * b, or kInfiniteCost when the product reaches it or overflows.
+Cost cappedMul(Cost a, Cost b) {
+  Cost p = 0;
+  if (__builtin_mul_overflow(a, b, &p) || p >= kInfiniteCost) {
+    return kInfiniteCost;
+  }
+  return p;
+}
+
+/// Enforces the solver's cost contract (graph/layered_dag.hpp: every
+/// finite path sum stays below kInfiniteCost) on the inputs. A datum's path
+/// costs at most its reference weight x maxHopDistance x hopCost in serving
+/// plus one maxHopDistance x beta move per window, and the trace's total
+/// weight bounds every datum's. The trace loader only bounds that total by
+/// INT64_MAX, so without this check a huge weight would overflow
+/// `weight x distance` in the serving-cost tables.
+void checkCostRange(const ReferenceTrace& trace, const CostModel& model,
+                    int numWindows, const char* who) {
+  const CostParams& params = model.params();
+  const Cost dist = model.maxHopDistance();
+  const Cost serve =
+      cappedMul(cappedMul(trace.totalWeight(), dist), params.hopCost);
+  const Cost move =
+      cappedMul(cappedMul(numWindows, dist),
+                cappedMul(params.hopCost, params.moveVolume));
+  Cost bound = 0;
+  if (__builtin_add_overflow(serve, move, &bound) || bound >= kInfiniteCost) {
+    throw std::invalid_argument(
+        std::string(who) +
+        ": costs out of range (total reference weight " +
+        std::to_string(trace.totalWeight()) + ", max distance " +
+        std::to_string(dist) + ", hop cost " + std::to_string(params.hopCost) +
+        ", move volume " + std::to_string(params.moveVolume) + ", " +
+        std::to_string(numWindows) +
+        " windows): a path cost could reach the infinite-cost sentinel");
+  }
+}
+
 const FaultMap& checkFaultGrid(const FaultMap& faults, const Grid& grid) {
   if (&faults.grid() != &grid) {
     throw std::invalid_argument(
@@ -103,6 +142,7 @@ Experiment::Experiment(const ReferenceTrace& trace, const Grid& grid,
         "Experiment: trace has no steps (nothing to schedule)");
   }
   resolveCapacity(capacity_, trace.numData(), grid.size());
+  checkCostRange(trace, model_, refs_.numWindows(), "Experiment");
 }
 
 Experiment::Experiment(const ReferenceTrace& trace, const Grid& grid,
@@ -129,6 +169,7 @@ Experiment::Experiment(const ReferenceTrace& trace, const Grid& grid,
                            faults_->summary() + ")");
   }
   resolveCapacity(capacity_, trace.numData(), faults_->aliveProcCount());
+  checkCostRange(trace, model_, refs_.numWindows(), "Experiment");
 }
 
 DataSchedule Experiment::schedule(Method m) const {
@@ -154,10 +195,8 @@ DataSchedule Experiment::schedule(Method m) const {
     case Method::kLomcds:
       return scheduleLomcds(refs_, model_, opts);
     case Method::kGomcds:
-      return config_.threads == 1
-                 ? scheduleGomcds(refs_, model_, opts)
-                 : scheduleGomcdsParallel(refs_, model_, opts,
-                                          config_.threads);
+      return scheduleGomcds(refs_, model_, opts, GomcdsEngine::kChamfer,
+                            config_.threads);
     case Method::kGroupedLomcds:
       return scheduleGroupedLomcds(refs_, model_, opts,
                                    GroupingMethod::kGreedy);
@@ -214,6 +253,7 @@ StreamStepResult StreamSession::step(const ReferenceTrace& trace) {
   const CostModel model =
       faultAware_ ? CostModel(grid_, *distances_, config_.costParams)
                   : CostModel(grid_, config_.costParams);
+  checkCostRange(trace, model, refs.numWindows(), "StreamSession");
   std::int64_t capacity = config_.capacity;
   resolveCapacity(capacity, trace.numData(),
                   faultAware_ ? faults_.aliveProcCount() : grid_.size());

@@ -79,7 +79,9 @@ struct PipelineConfig {
 
 /// Binds a trace to a grid + config and runs any Method on it. Windowing,
 /// reference aggregation and capacity resolution happen once in the
-/// constructor; schedules and costs are computed per call.
+/// constructor; schedules and costs are computed per call. The constructor
+/// throws std::invalid_argument when the trace's total weight and the cost
+/// parameters could push a path cost to kInfiniteCost.
 ///
 /// The fault-aware constructor layers a FaultMap over the grid: references
 /// issued by dead processors are dropped (dead processors make no
@@ -180,7 +182,8 @@ class StreamSession {
 
   /// Schedules the next revision of the evolving trace. Method kGomcds
   /// runs through the retained IncrementalSolver; every other method cold-
-  /// solves via a per-step Experiment (supported, never warm).
+  /// solves via a per-step Experiment (supported, never warm). Rejects the
+  /// same out-of-range costs as Experiment.
   [[nodiscard]] StreamStepResult step(const ReferenceTrace& trace);
 
   /// Applies fault drift: `heal` first resets the fault state, then every

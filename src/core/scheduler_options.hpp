@@ -16,20 +16,6 @@ struct SchedulerOptions {
   std::int64_t capacity = -1;
 
   DataOrder order = DataOrder::kById;
-
-  /// Deduplicate per-datum subproblems: data with byte-identical windowed
-  /// reference strings share serving-cost tables (and, when the forbidden
-  /// set is static, the solved path). Schedules are bit-identical either
-  /// way; this is purely a speed knob for regular kernels.
-  bool dedup = true;
-
-  /// Allow the incremental (warm-start) GOMCDS path to reuse retained
-  /// solver state across consecutive solves of an evolving trace, re-
-  /// relaxing only from the first changed window forward. Schedules are
-  /// bit-identical either way; this is purely a speed knob for streaming
-  /// callers holding an IncrementalSolver. The PIMSCHED_INCREMENTAL
-  /// environment variable (0/1) overrides this at process level.
-  bool incremental = true;
 };
 
 }  // namespace pimsched

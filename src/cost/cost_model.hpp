@@ -68,6 +68,12 @@ class CostModel {
     return static_cast<Cost>(grid_->manhattan(a, b));
   }
 
+  /// Largest finite hop distance under the model's metric.
+  [[nodiscard]] Cost maxHopDistance() const {
+    if (distances_ != nullptr) return distances_->maxHopDistance();
+    return static_cast<Cost>(grid_->rows() + grid_->cols() - 2);
+  }
+
   /// True when data must not be placed on p (p is dead).
   [[nodiscard]] bool centerForbidden(ProcId p) const {
     return distances_ != nullptr && !distances_->alive(p);

@@ -1,5 +1,6 @@
 #include "fault/distance_map.hpp"
 
+#include <algorithm>
 #include <deque>
 
 #include "obs/obs.hpp"
@@ -38,6 +39,7 @@ DistanceMap::DistanceMap(const Grid& grid, const FaultMap& faults)
           continue;
         }
         row[next] = row[cur] + 1;
+        maxHop_ = std::max<Cost>(maxHop_, row[next]);
         ++reached;
         frontier.push_back(next);
       }

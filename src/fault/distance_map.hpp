@@ -45,6 +45,10 @@ class DistanceMap {
   /// routable.
   [[nodiscard]] bool partitioned() const { return partitioned_; }
 
+  /// Largest finite hop distance between two alive processors (0 when no
+  /// alive pair is connected).
+  [[nodiscard]] Cost maxHopDistance() const { return maxHop_; }
+
  private:
   const Grid* grid_;
   const FaultMap* faults_;
@@ -52,6 +56,7 @@ class DistanceMap {
   std::vector<char> alive_;
   std::vector<std::int32_t> dist_;  ///< size*size, -1 = unreachable
   bool partitioned_ = false;
+  Cost maxHop_ = 0;
 };
 
 }  // namespace pimsched

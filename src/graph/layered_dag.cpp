@@ -12,7 +12,7 @@ namespace pimsched {
 
 namespace {
 
-/// Backward path reconstruction shared by both solvers: given the dp table
+/// Backward path reconstruction shared by both kernels: given the dp table
 /// (dp[w * N + p] = best cost of a prefix ending with node p in layer w),
 /// walk from the best final node to the front, picking at each step the
 /// smallest predecessor q that attains dp[w][p] == dp[w-1][q] + trans(q,p) +
@@ -28,7 +28,7 @@ namespace {
 ///
 /// `parents`, when non-null, memoizes the scans: a cached entry >= 0 is
 /// used verbatim (it is the pure-function result of an earlier scan over
-/// the same dp rows — the resume entry points invalidate entries whose
+/// the same dp rows — the kernels invalidate entries whose
 /// rows changed), and every fresh scan is stored back. Since the scan is
 /// deterministic, cache hits and misses pick identical predecessors.
 template <class ScanFn>
@@ -98,7 +98,7 @@ void minPlusSaturating(const Grid& grid, Cost beta, Cost* h) {
   }
 }
 
-/// Prepares a predecessor cache for a resume solve: entries for the
+/// Prepares a predecessor cache for a solve: entries for the
 /// re-relaxed layers [fromLayer, numLayers) are dropped (their dp/node-cost
 /// rows are about to change); a wrong-sized cache is rebuilt empty, which
 /// is always safe since every entry is recomputed on demand. Returns the
@@ -173,30 +173,12 @@ void manhattanMinPlusInto(const Grid& grid, std::span<const Cost> in,
   k.clampInf(h, n);
 }
 
-std::vector<Cost> manhattanMinPlus(const Grid& grid,
-                                   const std::vector<Cost>& in, Cost beta) {
-  if (static_cast<int>(in.size()) != grid.size()) {
-    throw std::invalid_argument("manhattanMinPlus: size mismatch");
-  }
-  std::vector<Cost> out(in.size());
-  manhattanMinPlusInto(grid, in, beta, out);
-  return out;
-}
-
-void LayeredDagSolver::solveFlatInto(int numLayers, int numNodes,
-                                     std::span<const Cost> nodeCosts,
-                                     std::span<const Cost> transCosts,
-                                     LayeredDagScratch& scratch,
-                                     LayeredPath& out) {
-  solveFlatResumeInto(numLayers, numNodes, nodeCosts, transCosts, 0,
-                      scratch.dp, scratch, out);
-}
-
-void LayeredDagSolver::solveFlatResumeInto(
-    int numLayers, int numNodes, std::span<const Cost> nodeCosts,
-    std::span<const Cost> transCosts, int fromLayer, CostBuffer& dpBuf,
-    LayeredDagScratch& scratch, LayeredPath& out,
-    LayeredParentCache* parents) {
+void LayeredDagSolver::solveTable(int numLayers, int numNodes,
+                                  std::span<const Cost> nodeCosts,
+                                  std::span<const Cost> transCosts,
+                                  int fromLayer, CostBuffer& dpBuf,
+                                  LayeredDagScratch& scratch, LayeredPath& out,
+                                  LayeredParentCache* parents) {
   if (numLayers < 1 || numNodes < 1) {
     throw std::invalid_argument("LayeredDagSolver: empty problem");
   }
@@ -216,9 +198,8 @@ void LayeredDagSolver::solveFlatResumeInto(
     throw std::invalid_argument(
         "LayeredDagSolver: retained dp table too small for resume");
   }
-  // Counters only here — the per-solve scoped timer lives in the
-  // std::function wrappers. The flat kernels are called per datum from the
-  // parallel scheduler, where the timer's clock reads and shared atomic
+  // Counters only, no scoped timer: the kernels are called per datum from
+  // the parallel scheduler, where a timer's clock reads and shared atomic
   // read-modify-writes measurably serialized the plan phase.
   PIMSCHED_COUNTER_ADD("solver.runs", 1);
   PIMSCHED_COUNTER_ADD("solver.relaxed_layers",
@@ -268,28 +249,13 @@ void LayeredDagSolver::solveFlatResumeInto(
       par, out);
 }
 
-LayeredPath LayeredDagSolver::solveFlat(int numLayers, int numNodes,
-                                        std::span<const Cost> nodeCosts,
-                                        std::span<const Cost> transCosts) {
-  LayeredDagScratch scratch;
-  LayeredPath out;
-  solveFlatInto(numLayers, numNodes, nodeCosts, transCosts, scratch, out);
-  return out;
-}
-
-void LayeredDagSolver::solveManhattanFlatInto(const Grid& grid, int numLayers,
-                                              std::span<const Cost> nodeCosts,
-                                              Cost beta,
-                                              LayeredDagScratch& scratch,
-                                              LayeredPath& out) {
-  solveManhattanFlatResumeInto(grid, numLayers, nodeCosts, beta, 0, scratch.dp,
-                               scratch, out);
-}
-
-void LayeredDagSolver::solveManhattanFlatResumeInto(
-    const Grid& grid, int numLayers, std::span<const Cost> nodeCosts,
-    Cost beta, int fromLayer, CostBuffer& dpBuf, LayeredDagScratch& scratch,
-    LayeredPath& out, LayeredParentCache* parents) {
+void LayeredDagSolver::solveManhattan(const Grid& grid, int numLayers,
+                                      std::span<const Cost> nodeCosts,
+                                      Cost beta, int fromLayer,
+                                      CostBuffer& dpBuf,
+                                      LayeredDagScratch& scratch,
+                                      LayeredPath& out,
+                                      LayeredParentCache* parents) {
   const int numNodes = grid.size();
   if (numLayers < 1) {
     throw std::invalid_argument("LayeredDagSolver: empty problem");
@@ -306,8 +272,7 @@ void LayeredDagSolver::solveManhattanFlatResumeInto(
     throw std::invalid_argument(
         "LayeredDagSolver: retained dp table too small for resume");
   }
-  // Counters only; see solveFlatInto for why the scoped timer moved to the
-  // std::function wrappers.
+  // Counters only; see solveTable.
   PIMSCHED_COUNTER_ADD("solver.runs", 1);
   PIMSCHED_COUNTER_ADD("solver.relaxed_layers",
                        numLayers - std::max(fromLayer, 1));
@@ -334,7 +299,7 @@ void LayeredDagSolver::solveManhattanFlatResumeInto(
   // out at beta * (R + C), which the sweep guard above bounds below
   // (INT64_MAX - kInfiniteCost) / 2, so `prev + t` with prev < kInfiniteCost
   // cannot overflow; for huge beta fall back to the saturating reference
-  // scan (beta * manhattan matches the old callback exactly there).
+  // scan (beta * manhattan per candidate, with saturating adds).
   const int R = grid.rows();
   const int C = grid.cols();
   const Cost steps = 2 * static_cast<Cost>(R + C) + 2;
@@ -388,67 +353,6 @@ void LayeredDagSolver::solveManhattanFlatResumeInto(
         },
         par, out);
   }
-}
-
-LayeredPath LayeredDagSolver::solveManhattanFlat(
-    const Grid& grid, int numLayers, std::span<const Cost> nodeCosts,
-    Cost beta) {
-  LayeredDagScratch scratch;
-  LayeredPath out;
-  solveManhattanFlatInto(grid, numLayers, nodeCosts, beta, scratch, out);
-  return out;
-}
-
-LayeredPath LayeredDagSolver::solve(int numLayers, int numNodes,
-                                    const NodeCostFn& nodeCost,
-                                    const TransCostFn& transCost) {
-  if (numLayers < 1 || numNodes < 1) {
-    throw std::invalid_argument("LayeredDagSolver: empty problem");
-  }
-  PIMSCHED_SCOPED_TIMER("solver.layered_dag");
-  const std::size_t n = static_cast<std::size_t>(numNodes);
-  LayeredDagScratch scratch;
-  scratch.nodeCosts.resize(static_cast<std::size_t>(numLayers) * n);
-  for (int w = 0; w < numLayers; ++w) {
-    for (int p = 0; p < numNodes; ++p) {
-      scratch.nodeCosts[static_cast<std::size_t>(w) * n +
-                        static_cast<std::size_t>(p)] = nodeCost(w, p);
-    }
-  }
-  scratch.trans.resize(n * n);
-  for (int q = 0; q < numNodes; ++q) {
-    for (int p = 0; p < numNodes; ++p) {
-      scratch.trans[static_cast<std::size_t>(q) * n +
-                    static_cast<std::size_t>(p)] = transCost(q, p);
-    }
-  }
-  LayeredPath out;
-  solveFlatInto(numLayers, numNodes, scratch.nodeCosts, scratch.trans, scratch,
-                out);
-  return out;
-}
-
-LayeredPath LayeredDagSolver::solveManhattan(const Grid& grid, int numLayers,
-                                             const NodeCostFn& nodeCost,
-                                             Cost beta) {
-  const int numNodes = grid.size();
-  if (numLayers < 1) {
-    throw std::invalid_argument("LayeredDagSolver: empty problem");
-  }
-  PIMSCHED_SCOPED_TIMER("solver.layered_dag");
-  const std::size_t n = static_cast<std::size_t>(numNodes);
-  LayeredDagScratch scratch;
-  scratch.nodeCosts.resize(static_cast<std::size_t>(numLayers) * n);
-  for (int w = 0; w < numLayers; ++w) {
-    for (int p = 0; p < numNodes; ++p) {
-      scratch.nodeCosts[static_cast<std::size_t>(w) * n +
-                        static_cast<std::size_t>(p)] = nodeCost(w, p);
-    }
-  }
-  LayeredPath out;
-  solveManhattanFlatInto(grid, numLayers, scratch.nodeCosts, beta, scratch,
-                         out);
-  return out;
 }
 
 }  // namespace pimsched

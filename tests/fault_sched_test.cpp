@@ -10,6 +10,7 @@
 #include "core/verify.hpp"
 #include "fault/fault_map.hpp"
 #include "sim/replay.hpp"
+#include "solver_test_util.hpp"
 #include "test_util.hpp"
 
 namespace pimsched {
@@ -182,10 +183,11 @@ TEST(FaultSched, ReplayHopVolumeMatchesAnalyticCostUnderFaults) {
 }
 
 TEST(FaultSched, GomcdsDedupIdenticalUnderFaults) {
-  // Dedup must stay bit-identical on faulted meshes too — both in the
-  // static-mask regime (dead processors only: infinite serving cost keeps
-  // the forbidden set fixed) and the dynamic one (an alive processor with
-  // a reduced capacity limit forces per-datum masked solves).
+  // Class sharing must stay bit-identical to the share-nothing reference
+  // on faulted meshes too — both in the static-mask regime (dead
+  // processors only: infinite serving cost keeps the forbidden set fixed)
+  // and the dynamic one (an alive processor with a reduced capacity limit
+  // forces per-datum masked solves).
   const Grid grid(4, 4);
   const ReferenceTrace trace = makeTrace(131, grid);
   PipelineConfig cfg;
@@ -199,17 +201,19 @@ TEST(FaultSched, GomcdsDedupIdenticalUnderFaults) {
   for (const FaultMap* faults : {&deadOnly, &limited}) {
     const Experiment exp(trace, grid, *faults, cfg);
     for (const std::int64_t capacity : {std::int64_t{-1}, exp.capacity()}) {
-      SchedulerOptions on{capacity, cfg.order};
-      SchedulerOptions off = on;
-      off.dedup = false;
-      const DataSchedule a = scheduleGomcds(exp.refs(), exp.costModel(), on);
-      const DataSchedule b = scheduleGomcds(exp.refs(), exp.costModel(), off);
-      const DataSchedule c =
-          scheduleGomcdsParallel(exp.refs(), exp.costModel(), on, 4);
-      for (DataId d = 0; d < a.numData(); ++d) {
-        for (WindowId w = 0; w < a.numWindows(); ++w) {
-          ASSERT_EQ(a.center(d, w), b.center(d, w)) << "dedup off diverged";
-          ASSERT_EQ(a.center(d, w), c.center(d, w)) << "parallel diverged";
+      const SchedulerOptions opts{capacity, cfg.order};
+      const DataSchedule reference =
+          testutil::referenceGomcds(exp.refs(), exp.costModel(), opts);
+      for (const unsigned threads : {1u, 4u}) {
+        const DataSchedule shared =
+            scheduleGomcds(exp.refs(), exp.costModel(), opts,
+                           GomcdsEngine::kChamfer, threads);
+        for (DataId d = 0; d < reference.numData(); ++d) {
+          for (WindowId w = 0; w < reference.numWindows(); ++w) {
+            ASSERT_EQ(reference.center(d, w), shared.center(d, w))
+                << "class sharing diverged from the reference at " << threads
+                << " threads";
+          }
         }
       }
     }

@@ -56,6 +56,16 @@ std::int64_t allocCount() {
   return g_newCalls.load(std::memory_order_relaxed);
 }
 
+/// A P x P transition table with small finite entries.
+std::vector<Cost> tableTrans(const Grid& grid) {
+  std::vector<Cost> trans(static_cast<std::size_t>(grid.size()) *
+                          static_cast<std::size_t>(grid.size()));
+  for (std::size_t i = 0; i < trans.size(); ++i) {
+    trans[i] = static_cast<Cost>(i % 5);
+  }
+  return trans;
+}
+
 TEST(GomcdsAlloc, WarmFlatSolveAllocatesNothing) {
   const Grid grid(4, 4);
   const int layers = 6;
@@ -67,30 +77,65 @@ TEST(GomcdsAlloc, WarmFlatSolveAllocatesNothing) {
   LayeredDagScratch scratch;
   LayeredPath path;
   // First call grows the scratch buffers (and resolves the obs handles).
-  LayeredDagSolver::solveManhattanFlatInto(grid, layers, nodeCosts, 2,
-                                           scratch, path);
+  LayeredDagSolver::solveManhattan(grid, layers, nodeCosts, 2, 0, scratch.dp,
+                                   scratch, path);
   const std::int64_t before = allocCount();
   for (int i = 0; i < 10; ++i) {
-    LayeredDagSolver::solveManhattanFlatInto(grid, layers, nodeCosts, 2,
-                                             scratch, path);
+    LayeredDagSolver::solveManhattan(grid, layers, nodeCosts, 2, 0,
+                                     scratch.dp, scratch, path);
   }
   EXPECT_EQ(allocCount(), before)
-      << "warm solveManhattanFlatInto must not touch the heap";
+      << "warm cold-start solveManhattan must not touch the heap";
 
-  std::vector<Cost> trans(static_cast<std::size_t>(grid.size()) *
-                          static_cast<std::size_t>(grid.size()));
-  for (std::size_t i = 0; i < trans.size(); ++i) {
-    trans[i] = static_cast<Cost>(i % 5);
-  }
-  LayeredDagSolver::solveFlatInto(layers, grid.size(), nodeCosts, trans,
-                                  scratch, path);
+  const std::vector<Cost> trans = tableTrans(grid);
+  LayeredDagSolver::solveTable(layers, grid.size(), nodeCosts, trans, 0,
+                               scratch.dp, scratch, path);
   const std::int64_t beforeTable = allocCount();
   for (int i = 0; i < 10; ++i) {
-    LayeredDagSolver::solveFlatInto(layers, grid.size(), nodeCosts, trans,
-                                    scratch, path);
+    LayeredDagSolver::solveTable(layers, grid.size(), nodeCosts, trans, 0,
+                                 scratch.dp, scratch, path);
   }
   EXPECT_EQ(allocCount(), beforeTable)
-      << "warm solveFlatInto must not touch the heap";
+      << "warm cold-start solveTable must not touch the heap";
+}
+
+// The resume path of both kernels — a caller-held dp table re-relaxed from
+// fromLayer > 0 with a predecessor cache, as IncrementalSolver drives it —
+// is allocation-free once the buffers have grown: the cache invalidates
+// its suffix in place and reconstruction fills it without reallocating.
+TEST(GomcdsAlloc, ResumeSolveWithParentCacheAllocatesNothing) {
+  const Grid grid(4, 4);
+  const int layers = 6;
+  std::vector<Cost> nodeCosts(
+      static_cast<std::size_t>(layers) * static_cast<std::size_t>(grid.size()));
+  for (std::size_t i = 0; i < nodeCosts.size(); ++i) {
+    nodeCosts[i] = static_cast<Cost>((i * 7) % 23);
+  }
+  const std::vector<Cost> trans = tableTrans(grid);
+  LayeredDagScratch scratch;
+  LayeredPath path;
+  CostBuffer dp;
+  LayeredParentCache parents;
+
+  LayeredDagSolver::solveManhattan(grid, layers, nodeCosts, 2, 0, dp, scratch,
+                                   path, &parents);
+  const std::int64_t before = allocCount();
+  for (int from = 1; from <= layers; ++from) {
+    LayeredDagSolver::solveManhattan(grid, layers, nodeCosts, 2, from, dp,
+                                     scratch, path, &parents);
+  }
+  EXPECT_EQ(allocCount(), before)
+      << "resumed solveManhattan must not touch the heap";
+
+  LayeredDagSolver::solveTable(layers, grid.size(), nodeCosts, trans, 0, dp,
+                               scratch, path, &parents);
+  const std::int64_t beforeTable = allocCount();
+  for (int from = 1; from <= layers; ++from) {
+    LayeredDagSolver::solveTable(layers, grid.size(), nodeCosts, trans, from,
+                                 dp, scratch, path, &parents);
+  }
+  EXPECT_EQ(allocCount(), beforeTable)
+      << "resumed solveTable must not touch the heap";
 }
 
 /// A trace whose data all share one reference string per window, so the

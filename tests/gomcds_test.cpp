@@ -9,6 +9,7 @@
 #include "core/scds.hpp"
 #include "kernels/benchmarks.hpp"
 #include "obs/obs.hpp"
+#include "solver_test_util.hpp"
 #include "test_util.hpp"
 
 namespace pimsched {
@@ -180,10 +181,11 @@ void expectIdenticalSchedules(const DataSchedule& a, const DataSchedule& b,
 }
 
 TEST(Gomcds, DedupProducesIdenticalSchedulesOnMatmul) {
-  // Matmul rows share reference strings, so the dedup layer collapses them
-  // into equivalence classes; the schedule must stay bit-identical to a
-  // run with dedup disabled, with and without capacity pressure, for both
-  // the sequential and the parallel engine.
+  // Matmul rows share reference strings, so the driver collapses them into
+  // equivalence classes that share serve tables (and, uncapacitated, one
+  // solved path). The schedule must stay bit-identical to the share-nothing
+  // per-datum reference, with and without capacity pressure, on one thread
+  // and on four (plan/commit).
   const Grid g(4, 4);
   const ReferenceTrace t =
       makePaperBenchmark(PaperBenchmark::kMatSquare, g, 8);
@@ -191,19 +193,18 @@ TEST(Gomcds, DedupProducesIdenticalSchedulesOnMatmul) {
   cfg.numWindows = 8;
   const Experiment exp(t, g, cfg);
   for (const std::int64_t capacity : {std::int64_t{-1}, exp.capacity()}) {
-    SchedulerOptions on{capacity, cfg.order};
-    SchedulerOptions off = on;
-    off.dedup = false;
-    const DataSchedule withDedup =
-        scheduleGomcds(exp.refs(), exp.costModel(), on);
-    const DataSchedule without =
-        scheduleGomcds(exp.refs(), exp.costModel(), off);
-    expectIdenticalSchedules(withDedup, without,
-                             capacity < 0 ? "uncapacitated" : "capacitated");
-    const DataSchedule parallel =
-        scheduleGomcdsParallel(exp.refs(), exp.costModel(), on, 4);
-    expectIdenticalSchedules(withDedup, parallel,
-                             capacity < 0 ? "parallel uncap" : "parallel cap");
+    const SchedulerOptions opts{capacity, cfg.order};
+    const DataSchedule reference =
+        testutil::referenceGomcds(exp.refs(), exp.costModel(), opts);
+    for (const unsigned threads : {1u, 4u}) {
+      const DataSchedule shared =
+          scheduleGomcds(exp.refs(), exp.costModel(), opts,
+                         GomcdsEngine::kChamfer, threads);
+      expectIdenticalSchedules(
+          reference, shared,
+          capacity < 0 ? (threads == 1 ? "uncapacitated" : "parallel uncap")
+                       : (threads == 1 ? "capacitated" : "parallel cap"));
+    }
   }
 }
 

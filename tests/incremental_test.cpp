@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -16,15 +14,11 @@
 #include "fault/fault_map.hpp"
 #include "fault/fault_trace.hpp"
 #include "graph/layered_dag.hpp"
+#include "solver_test_util.hpp"
 #include "test_util.hpp"
 
 namespace pimsched {
 namespace {
-
-// The identity assertions below must hold with the warm path on AND off
-// (the CI matrix runs this suite under PIMSCHED_INCREMENTAL=0 and =1);
-// warm-expectations are therefore gated on the effective toggle.
-bool warmPathOn() { return incrementalEnabled(SchedulerOptions{}); }
 
 void expectSameSchedule(const DataSchedule& a, const DataSchedule& b) {
   ASSERT_EQ(a.numData(), b.numData());
@@ -113,7 +107,7 @@ TEST(Incremental, BitIdenticalToColdOnEveryPrefixHealthy) {
     const DataSchedule warm = solver.solve(refs, model);
     const DataSchedule cold = scheduleGomcds(refs, model);
     expectSameSchedule(warm, cold);
-    if (stream > 0 && warmPathOn()) {
+    if (stream > 0) {
       EXPECT_FALSE(solver.lastStats().cold) << "stream step " << stream;
       EXPECT_GT(solver.lastStats().reusedLayers, 0);
     }
@@ -138,27 +132,54 @@ TEST(Incremental, BitIdenticalWithStableFaults) {
     const DataSchedule warm = solver.solve(refs, model);
     const DataSchedule cold = scheduleGomcds(refs, model);
     expectSameSchedule(warm, cold);
-    if (stream > 0 && warmPathOn()) {
+    if (stream > 0) {
       EXPECT_FALSE(solver.lastStats().cold);
     }
     work.churnTail(rng, 1, 30);
   }
 }
 
+// Warm steps — refined classes, resumed dp tables, shared paths — must
+// match the share-nothing per-datum reference on every step, here under
+// heaviest-first visit order. Data d and d + 10 start as twins (one class
+// per pair) and their tails churn independently, so warm steps must split
+// the retained classes.
 TEST(Incremental, BitIdenticalWithDedupOffAndWeightOrder) {
   const Grid g(4, 4);
   const CostModel model(g);
   testutil::Rng rng(903);
-  StreamWorkload work(rng, g, 10, 5, 25);
+  const DataId half = 10;
+  const int W = 5;
+  StreamWorkload work(rng, g, half, W, 25);
+  StreamWorkload twin = work;
+  const auto twinRefs = [&] {
+    ReferenceTrace t(DataSpace::singleSquare(5, "A"));
+    for (int w = 0; w < W; ++w) {
+      for (const StreamWorkload::Entry& e :
+           work.steps_[static_cast<std::size_t>(w)]) {
+        t.add(w, e.proc, e.data, e.weight);
+      }
+      for (const StreamWorkload::Entry& e :
+           twin.steps_[static_cast<std::size_t>(w)]) {
+        t.add(w, e.proc, e.data + half, e.weight);
+      }
+    }
+    for (DataId d = 0; d < 25; ++d) t.add(0, 0, d, 1);
+    t.finalize();
+    return WindowedRefs(t, WindowPartition::evenCount(W, W), g);
+  };
   SchedulerOptions options;
-  options.dedup = false;
   options.order = DataOrder::kByWeightDesc;
   IncrementalSolver solver;
-  for (int stream = 0; stream < 4; ++stream) {
-    const WindowedRefs refs = work.refs(g);
+  for (int stream = 0; stream < 5; ++stream) {
+    const WindowedRefs refs = twinRefs();
     expectSameSchedule(solver.solve(refs, model, options),
-                       scheduleGomcds(refs, model, options));
+                       testutil::referenceGomcds(refs, model, options));
+    if (stream > 0) {
+      EXPECT_FALSE(solver.lastStats().cold);
+    }
     work.churnTail(rng, 2, 25);
+    if (stream % 2 == 1) twin.churnTail(rng, 1, 25);
   }
 }
 
@@ -226,36 +247,12 @@ TEST(Incremental, InvalidateDropsRetainedState) {
   IncrementalSolver solver;
   const WindowedRefs refs = work.refs(g);
   (void)solver.solve(refs, model);
-  if (warmPathOn()) {
-    EXPECT_GT(solver.retainedBytes(), 0u);
-  }
+  EXPECT_GT(solver.retainedBytes(), 0u);
   solver.invalidate();
   EXPECT_EQ(solver.retainedBytes(), 0u);
   const DataSchedule after = solver.solve(refs, model);
   EXPECT_TRUE(solver.lastStats().cold);
   expectSameSchedule(after, scheduleGomcds(refs, model));
-}
-
-TEST(Incremental, EnvToggleForcesColdPath) {
-  const char* prev = std::getenv("PIMSCHED_INCREMENTAL");
-  const std::optional<std::string> stash =
-      prev ? std::optional<std::string>(prev) : std::nullopt;
-  setenv("PIMSCHED_INCREMENTAL", "0", 1);
-  const Grid g(3, 3);
-  const CostModel model(g);
-  testutil::Rng rng(908);
-  StreamWorkload work(rng, g, 6, 4, 15);
-  IncrementalSolver solver;
-  const WindowedRefs refs = work.refs(g);
-  (void)solver.solve(refs, model);
-  const DataSchedule second = solver.solve(refs, model);
-  EXPECT_TRUE(solver.lastStats().cold);
-  expectSameSchedule(second, scheduleGomcds(refs, model));
-  if (stash.has_value()) {
-    setenv("PIMSCHED_INCREMENTAL", stash->c_str(), 1);
-  } else {
-    unsetenv("PIMSCHED_INCREMENTAL");
-  }
 }
 
 TEST(Incremental, ClassSplitAndReconvergeStayIdentical) {
@@ -290,7 +287,7 @@ TEST(Incremental, ClassSplitAndReconvergeStayIdentical) {
     const DataSchedule warm = solver.solve(refs, model);
     const DataSchedule cold = scheduleGomcds(refs, model);
     expectSameSchedule(warm, cold);
-    if (step > 0 && warmPathOn()) {
+    if (step > 0) {
       EXPECT_FALSE(solver.lastStats().cold) << "step " << step;
       EXPECT_GT(solver.lastStats().reusedLayers, 0) << "step " << step;
     }
@@ -429,16 +426,14 @@ TEST(ResumeSolver, MatchesFullSolveAfterSuffixChange) {
   LayeredDagScratch scratch;
   CostBuffer dp;
   LayeredPath path;
-  LayeredDagSolver::solveFlatResumeInto(W, P, costs, trans, 0, dp, scratch,
-                                        path);
+  LayeredDagSolver::solveTable(W, P, costs, trans, 0, dp, scratch, path);
   for (int from : {3, 1, W - 1}) {
     for (std::size_t i = static_cast<std::size_t>(from * P);
          i < costs.size(); ++i) {
       costs[i] = rng.range(0, 40);
     }
-    LayeredDagSolver::solveFlatResumeInto(W, P, costs, trans, from, dp,
-                                          scratch, path);
-    const LayeredPath cold = LayeredDagSolver::solveFlat(W, P, costs, trans);
+    LayeredDagSolver::solveTable(W, P, costs, trans, from, dp, scratch, path);
+    const LayeredPath cold = testutil::solveTableCold(W, P, costs, trans);
     ASSERT_EQ(path.total, cold.total);
     ASSERT_EQ(path.nodes, cold.nodes);
   }
@@ -455,17 +450,14 @@ TEST(ResumeSolver, ManhattanMatchesFullSolveAfterSuffixChange) {
   LayeredDagScratch scratch;
   CostBuffer dp;
   LayeredPath path;
-  LayeredDagSolver::solveManhattanFlatResumeInto(g, W, costs, 3, 0, dp,
-                                                 scratch, path);
+  LayeredDagSolver::solveManhattan(g, W, costs, 3, 0, dp, scratch, path);
   for (int from : {2, 4, 1}) {
     for (std::size_t i = static_cast<std::size_t>(from * P);
          i < costs.size(); ++i) {
       costs[i] = rng.range(0, 30);
     }
-    LayeredDagSolver::solveManhattanFlatResumeInto(g, W, costs, 3, from, dp,
-                                                   scratch, path);
-    const LayeredPath cold =
-        LayeredDagSolver::solveManhattanFlat(g, W, costs, 3);
+    LayeredDagSolver::solveManhattan(g, W, costs, 3, from, dp, scratch, path);
+    const LayeredPath cold = testutil::solveManhattanCold(g, W, costs, 3);
     ASSERT_EQ(path.total, cold.total);
     ASSERT_EQ(path.nodes, cold.nodes);
   }
@@ -483,8 +475,8 @@ TEST(ResumeSolver, ParentCacheReconstructionIsBitIdentical) {
   CostBuffer dp;
   LayeredPath path;
   LayeredParentCache parents;  // starts wrong-sized: wholesale reset path
-  LayeredDagSolver::solveManhattanFlatResumeInto(g, W, costs, 3, 0, dp,
-                                                 scratch, path, &parents);
+  LayeredDagSolver::solveManhattan(g, W, costs, 3, 0, dp, scratch, path,
+                                   &parents);
   EXPECT_EQ(parents.size(), static_cast<std::size_t>(W * P));
   // from == W re-runs only reconstruction: every step walks cached entries.
   // The smaller fromLayer values invalidate and rebuild suffix entries.
@@ -493,9 +485,9 @@ TEST(ResumeSolver, ParentCacheReconstructionIsBitIdentical) {
          ++i) {
       costs[i] = rng.range(0, 30);
     }
-    LayeredDagSolver::solveManhattanFlatResumeInto(g, W, costs, 3, from, dp,
-                                                   scratch, path, &parents);
-    const LayeredPath cold = LayeredDagSolver::solveManhattanFlat(g, W, costs, 3);
+    LayeredDagSolver::solveManhattan(g, W, costs, 3, from, dp, scratch, path,
+                                     &parents);
+    const LayeredPath cold = testutil::solveManhattanCold(g, W, costs, 3);
     ASSERT_EQ(path.total, cold.total) << "fromLayer " << from;
     ASSERT_EQ(path.nodes, cold.nodes) << "fromLayer " << from;
   }
@@ -522,7 +514,7 @@ TEST(StreamSession, MatchesFreshExperimentOnEveryStep) {
     expectSameSchedule(got.schedule, fresh.schedule(Method::kGomcds));
     EXPECT_EQ(got.eval.aggregate.total(),
               fresh.evaluate(Method::kGomcds).aggregate.total());
-    if (stream > 0 && warmPathOn()) {
+    if (stream > 0) {
       EXPECT_TRUE(got.incremental) << "stream step " << stream;
     }
     work.churnTail(rng, 2, 35);
@@ -568,9 +560,7 @@ TEST(StreamSession, DriftInvalidatesWarmStateAndStaysIdentical) {
 
   // Second post-drift step goes warm again under the (now stable) faults.
   const StreamStepResult next = session.step(trace);
-  if (warmPathOn()) {
-    EXPECT_TRUE(next.incremental);
-  }
+  EXPECT_TRUE(next.incremental);
   expectSameSchedule(next.schedule, fresh.schedule(Method::kGomcds));
 }
 

@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "graph/simd/simd_kernels.hpp"
+#include "solver_test_util.hpp"
 #include "test_util.hpp"
 
 namespace pimsched {
@@ -91,7 +92,9 @@ TEST(ManhattanMinPlus, ZeroBetaGivesGlobalMin) {
   std::vector<Cost> in;
   for (int i = 0; i < g.size(); ++i) in.push_back(rng.range(0, 100));
   const Cost globalMin = *std::min_element(in.begin(), in.end());
-  for (const Cost v : manhattanMinPlus(g, in, 0)) EXPECT_EQ(v, globalMin);
+  for (const Cost v : testutil::manhattanMinPlus(g, in, 0)) {
+    EXPECT_EQ(v, globalMin);
+  }
 }
 
 TEST(ManhattanMinPlus, MatchesBruteForce) {
@@ -105,7 +108,7 @@ TEST(ManhattanMinPlus, MatchesBruteForce) {
         // Mix in a few forbidden nodes.
         in.push_back(rng.below(5) == 0 ? kInfiniteCost : rng.range(0, 50));
       }
-      const auto fast = manhattanMinPlus(g, in, beta);
+      const auto fast = testutil::manhattanMinPlus(g, in, beta);
       for (ProcId p = 0; p < g.size(); ++p) {
         Cost expect = kInfiniteCost;
         for (ProcId q = 0; q < g.size(); ++q) {
@@ -123,7 +126,7 @@ TEST(ManhattanMinPlus, MatchesBruteForce) {
 TEST(ManhattanMinPlus, AllInfiniteStaysInfinite) {
   const Grid g(3, 3);
   const std::vector<Cost> in(9, kInfiniteCost);
-  for (const Cost v : manhattanMinPlus(g, in, 2)) {
+  for (const Cost v : testutil::manhattanMinPlus(g, in, 2)) {
     EXPECT_EQ(v, kInfiniteCost);
   }
 }
@@ -131,7 +134,7 @@ TEST(ManhattanMinPlus, AllInfiniteStaysInfinite) {
 TEST(LayeredDagSolver, SingleLayerPicksMinNode) {
   const auto nodeCost = [](int, int n) -> Cost { return (n == 2) ? 1 : 5; };
   const auto trans = [](int, int) -> Cost { return 0; };
-  const LayeredPath path = LayeredDagSolver::solve(1, 4, nodeCost, trans);
+  const LayeredPath path = testutil::solveCallbacks(1, 4, nodeCost, trans);
   ASSERT_TRUE(path.feasible());
   EXPECT_EQ(path.total, 1);
   EXPECT_EQ(path.nodes, (std::vector<int>{2}));
@@ -145,7 +148,7 @@ TEST(LayeredDagSolver, TradesNodeCostAgainstTransition) {
     return n == 0 ? 3 : 0;
   };
   const auto trans = [](int a, int b) -> Cost { return a == b ? 0 : 10; };
-  const LayeredPath path = LayeredDagSolver::solve(2, 2, nodeCost, trans);
+  const LayeredPath path = testutil::solveCallbacks(2, 2, nodeCost, trans);
   EXPECT_EQ(path.total, 3);  // stay at node 0: 0 + 3
   EXPECT_EQ(path.nodes, (std::vector<int>{0, 0}));
 }
@@ -156,7 +159,7 @@ TEST(LayeredDagSolver, SwitchesWhenWorthIt) {
     return n == 0 ? 100 : 0;
   };
   const auto trans = [](int a, int b) -> Cost { return a == b ? 0 : 1; };
-  const LayeredPath path = LayeredDagSolver::solve(2, 2, nodeCost, trans);
+  const LayeredPath path = testutil::solveCallbacks(2, 2, nodeCost, trans);
   EXPECT_EQ(path.total, 1);
   EXPECT_EQ(path.nodes, (std::vector<int>{0, 1}));
 }
@@ -166,7 +169,7 @@ TEST(LayeredDagSolver, InfeasibleWhenLayerFullyForbidden) {
     return layer == 1 ? kInfiniteCost : 0;
   };
   const auto trans = [](int, int) -> Cost { return 0; };
-  const LayeredPath path = LayeredDagSolver::solve(3, 2, nodeCost, trans);
+  const LayeredPath path = testutil::solveCallbacks(3, 2, nodeCost, trans);
   EXPECT_FALSE(path.feasible());
   EXPECT_TRUE(path.nodes.empty());
 }
@@ -178,7 +181,7 @@ TEST(LayeredDagSolver, RoutesAroundForbiddenNodes) {
     return n == 0 ? 0 : 2;
   };
   const auto trans = [](int a, int b) -> Cost { return a == b ? 0 : 1; };
-  const LayeredPath path = LayeredDagSolver::solve(3, 2, nodeCost, trans);
+  const LayeredPath path = testutil::solveCallbacks(3, 2, nodeCost, trans);
   ASSERT_TRUE(path.feasible());
   EXPECT_EQ(path.nodes, (std::vector<int>{0, 1, 0}));
   EXPECT_EQ(path.total, 0 + 1 + 2 + 1 + 0);
@@ -211,9 +214,9 @@ TEST_P(EngineEquivalence, ChamferMatchesNaive) {
                                 static_cast<ProcId>(b));
     };
     const LayeredPath naive =
-        LayeredDagSolver::solve(layers, g.size(), nodeCost, trans);
-    const LayeredPath fast =
-        LayeredDagSolver::solveManhattan(g, layers, nodeCost, beta);
+        testutil::solveCallbacks(layers, g.size(), nodeCost, trans);
+    const LayeredPath fast = testutil::solveManhattanCold(
+        g, layers, testutil::nodeTable(layers, g.size(), nodeCost), beta);
     ASSERT_EQ(naive.total, fast.total);
     ASSERT_EQ(naive.nodes, fast.nodes);
   }
@@ -255,13 +258,13 @@ TEST(FlatSolver, TableKernelMatchesReferenceOnRandomInstances) {
     const LayeredPath expect =
         referenceSolve(layers, nodes, nodeCost, transCost);
     const LayeredPath flat =
-        LayeredDagSolver::solveFlat(layers, nodes, nodeTable, trans);
+        testutil::solveTableCold(layers, nodes, nodeTable, trans);
     ASSERT_EQ(flat.total, expect.total) << "trial " << trial;
     ASSERT_EQ(flat.nodes, expect.nodes) << "trial " << trial;
-    // The std::function overload must stay a thin wrapper over the same
-    // kernel: identical output again.
+    // The same instance given as callbacks and materialized into tables
+    // must give identical output again.
     const LayeredPath wrapped =
-        LayeredDagSolver::solve(layers, nodes, nodeCost, transCost);
+        testutil::solveCallbacks(layers, nodes, nodeCost, transCost);
     ASSERT_EQ(wrapped.total, expect.total) << "trial " << trial;
     ASSERT_EQ(wrapped.nodes, expect.nodes) << "trial " << trial;
   }
@@ -291,13 +294,13 @@ TEST(FlatSolver, ManhattanKernelMatchesReferenceOnRandomInstances) {
         const LayeredPath expect =
             referenceSolve(layers, g.size(), nodeCost, transCost);
         const LayeredPath flat =
-            LayeredDagSolver::solveManhattanFlat(g, layers, nodeTable, beta);
+            testutil::solveManhattanCold(g, layers, nodeTable, beta);
         ASSERT_EQ(flat.total, expect.total)
             << rows << "x" << cols << " beta " << beta << " trial " << trial;
         ASSERT_EQ(flat.nodes, expect.nodes)
             << rows << "x" << cols << " beta " << beta << " trial " << trial;
-        const LayeredPath wrapped =
-            LayeredDagSolver::solveManhattan(g, layers, nodeCost, beta);
+        const LayeredPath wrapped = testutil::solveManhattanCold(
+            g, layers, testutil::nodeTable(layers, g.size(), nodeCost), beta);
         ASSERT_EQ(wrapped.total, expect.total);
         ASSERT_EQ(wrapped.nodes, expect.nodes);
       }
@@ -327,13 +330,13 @@ TEST(FlatSolver, HugeBetaFallbackMatchesReference) {
   const LayeredPath expect =
       referenceSolve(5, g.size(), nodeCost, transCost);
   const LayeredPath flat =
-      LayeredDagSolver::solveManhattanFlat(g, 5, nodeTable, beta);
+      testutil::solveManhattanCold(g, 5, nodeTable, beta);
   EXPECT_EQ(flat.total, expect.total);
   EXPECT_EQ(flat.nodes, expect.nodes);
 }
 
-// The Into variant reuses caller scratch without reallocating between
-// calls and may alias input and output in manhattanMinPlusInto.
+// The kernels reuse caller scratch between calls, and manhattanMinPlusInto
+// may alias input and output.
 TEST(FlatSolver, IntoVariantsReuseBuffersAndSupportAliasing) {
   const Grid g(3, 4);
   testutil::Rng rng(404);
@@ -341,7 +344,7 @@ TEST(FlatSolver, IntoVariantsReuseBuffersAndSupportAliasing) {
   for (int i = 0; i < g.size(); ++i) {
     in.push_back(rng.below(5) == 0 ? kInfiniteCost : rng.range(0, 30));
   }
-  const std::vector<Cost> expect = manhattanMinPlus(g, in, 2);
+  const std::vector<Cost> expect = testutil::manhattanMinPlus(g, in, 2);
 
   std::vector<Cost> out(in.size());
   manhattanMinPlusInto(g, in, 2, out);
@@ -354,9 +357,11 @@ TEST(FlatSolver, IntoVariantsReuseBuffersAndSupportAliasing) {
   LayeredDagScratch scratch;
   LayeredPath path;
   const std::vector<Cost> nodeTable = randomNodeTable(rng, 6, g.size());
-  LayeredDagSolver::solveManhattanFlatInto(g, 6, nodeTable, 1, scratch, path);
+  LayeredDagSolver::solveManhattan(g, 6, nodeTable, 1, 0, scratch.dp, scratch,
+                                   path);
   const LayeredPath once = path;
-  LayeredDagSolver::solveManhattanFlatInto(g, 6, nodeTable, 1, scratch, path);
+  LayeredDagSolver::solveManhattan(g, 6, nodeTable, 1, 0, scratch.dp, scratch,
+                                   path);
   EXPECT_EQ(path.total, once.total);
   EXPECT_EQ(path.nodes, once.nodes);
 }
@@ -402,11 +407,11 @@ TEST(SimdTierIdentity, ManhattanSolveBitIdenticalAcrossTiersOnOddGrids) {
     for (const Cost beta : {Cost{0}, Cost{1}, Cost{3}}) {
       simd::forceTier(simd::Tier::kScalar);
       const LayeredPath expect =
-          LayeredDagSolver::solveManhattanFlat(g, layers, nodeTable, beta);
+          testutil::solveManhattanCold(g, layers, nodeTable, beta);
       for (const simd::Tier t : supportedTiers()) {
         simd::forceTier(t);
         const LayeredPath got =
-            LayeredDagSolver::solveManhattanFlat(g, layers, nodeTable, beta);
+            testutil::solveManhattanCold(g, layers, nodeTable, beta);
         ASSERT_EQ(got.total, expect.total)
             << rows << "x" << cols << " beta " << beta << " tier "
             << simd::tierName(t);
@@ -441,11 +446,11 @@ TEST(SimdTierIdentity, AsymmetricFaultedTablesBitIdenticalAcrossTiers) {
       }
       simd::forceTier(simd::Tier::kScalar);
       const LayeredPath expect =
-          LayeredDagSolver::solveFlat(layers, nodes, nodeTable, trans);
+          testutil::solveTableCold(layers, nodes, nodeTable, trans);
       for (const simd::Tier t : supportedTiers()) {
         simd::forceTier(t);
         const LayeredPath got =
-            LayeredDagSolver::solveFlat(layers, nodes, nodeTable, trans);
+            testutil::solveTableCold(layers, nodes, nodeTable, trans);
         ASSERT_EQ(got.total, expect.total)
             << rows << "x" << cols << " trial " << trial << " tier "
             << simd::tierName(t);
@@ -472,11 +477,11 @@ TEST(SimdTierIdentity, HugeBetaSaturatingPathBitIdenticalAcrossTiers) {
         randomNodeTable(rng, layers, g.size());
     simd::forceTier(simd::Tier::kScalar);
     const LayeredPath expect =
-        LayeredDagSolver::solveManhattanFlat(g, layers, nodeTable, beta);
+        testutil::solveManhattanCold(g, layers, nodeTable, beta);
     for (const simd::Tier t : supportedTiers()) {
       simd::forceTier(t);
       const LayeredPath got =
-          LayeredDagSolver::solveManhattanFlat(g, layers, nodeTable, beta);
+          testutil::solveManhattanCold(g, layers, nodeTable, beta);
       ASSERT_EQ(got.total, expect.total)
           << rows << "x" << cols << " tier " << simd::tierName(t);
       ASSERT_EQ(got.nodes, expect.nodes)

@@ -229,7 +229,7 @@ TEST(Obs, ParallelGomcdsMergedMetricsEqualPerThreadSum) {
 
   obs::Registry& registry = obs::Registry::instance();
   registry.reset();
-  (void)scheduleGomcdsParallel(refs, model, 4);
+  (void)scheduleGomcds(refs, model, {}, GomcdsEngine::kChamfer, 4);
   // The totals must equal the whole problem regardless of how the pool
   // split the plan phase: every (datum, window) table went through the
   // cache exactly once (hit or miss), and each miss is one evaluation.

@@ -25,7 +25,8 @@ TEST(ParallelGomcds, BitIdenticalToSequential) {
     const WindowedRefs refs = refsFromTrace(t, g, 8);
     const DataSchedule seq = scheduleGomcds(refs, model);
     for (const unsigned threads : {1u, 2u, 4u, 0u}) {
-      const DataSchedule par = scheduleGomcdsParallel(refs, model, threads);
+      const DataSchedule par =
+          scheduleGomcds(refs, model, {}, GomcdsEngine::kChamfer, threads);
       for (DataId d = 0; d < refs.numData(); ++d) {
         for (WindowId w = 0; w < refs.numWindows(); ++w) {
           ASSERT_EQ(par.center(d, w), seq.center(d, w))
@@ -46,7 +47,8 @@ TEST(ParallelGomcds, MoreThreadsThanDataIsFine) {
   t.add(0, 3, 1, 2);
   t.finalize();
   const WindowedRefs refs(t, WindowPartition::whole(1), g);
-  const DataSchedule s = scheduleGomcdsParallel(refs, model, 16);
+  const DataSchedule s =
+      scheduleGomcds(refs, model, {}, GomcdsEngine::kChamfer, 16);
   EXPECT_TRUE(s.complete());
   EXPECT_EQ(s.center(0, 0), 0);
   EXPECT_EQ(s.center(1, 0), 3);
@@ -71,8 +73,8 @@ TEST(ParallelGomcds, BitIdenticalToSequentialWithCapacity) {
         const SchedulerOptions opts{cap, order};
         const DataSchedule seq = scheduleGomcds(refs, model, opts);
         for (const unsigned threads : {1u, 2u, 4u, 0u}) {
-          const DataSchedule par =
-              scheduleGomcdsParallel(refs, model, opts, threads);
+          const DataSchedule par = scheduleGomcds(
+              refs, model, opts, GomcdsEngine::kChamfer, threads);
           for (DataId d = 0; d < refs.numData(); ++d) {
             for (WindowId w = 0; w < refs.numWindows(); ++w) {
               ASSERT_EQ(par.center(d, w), seq.center(d, w))
@@ -100,7 +102,8 @@ TEST(ParallelGomcds, InfeasibleCapacityThrowsLikeSequential) {
   const SchedulerOptions opts{2, DataOrder::kById};
   EXPECT_THROW((void)scheduleGomcds(refs, model, opts), std::runtime_error);
   for (const unsigned threads : {1u, 4u}) {
-    EXPECT_THROW((void)scheduleGomcdsParallel(refs, model, opts, threads),
+    EXPECT_THROW((void)scheduleGomcds(refs, model, opts,
+                                      GomcdsEngine::kChamfer, threads),
                  std::runtime_error);
   }
 }
@@ -115,7 +118,9 @@ TEST(ParallelGomcds, CostEqualsSequentialOptimal) {
       evaluateSchedule(scheduleGomcds(refs, model), refs, model)
           .aggregate.total();
   const Cost par =
-      evaluateSchedule(scheduleGomcdsParallel(refs, model), refs, model)
+      evaluateSchedule(
+          scheduleGomcds(refs, model, {}, GomcdsEngine::kChamfer, 0), refs,
+          model)
           .aggregate.total();
   EXPECT_EQ(seq, par);
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/fault_map.hpp"
 #include "kernels/benchmarks.hpp"
 #include "pim/memory.hpp"
 
@@ -138,6 +139,63 @@ TEST(Experiment, EvaluateMatchesManualEvaluation) {
   const EvalResult manual = evaluateSchedule(s, exp.refs(), exp.costModel());
   const EvalResult viaExp = exp.evaluate(Method::kScds);
   EXPECT_EQ(manual.aggregate.total(), viaExp.aggregate.total());
+}
+
+/// One datum on a 2x2 grid (max hop distance 2), referenced in one step
+/// with `weight` from processor 0 and weight 1 from processor 3, so every
+/// serving-cost table entry multiplies a large weight by a distance.
+ReferenceTrace heavyTrace(Cost weight) {
+  ReferenceTrace t(DataSpace::singleSquare(1));
+  t.add(0, 0, 0, weight);
+  t.add(0, 3, 0, 1);
+  t.finalize();
+  return t;
+}
+
+// Cost bound of heavyTrace(w) on 2x2 with one window and unit costs is
+// (w + 1) x 2 serving plus 1 x 2 moving; this is the largest w keeping it
+// below kInfiniteCost (which is odd).
+constexpr Cost kHeaviestAccepted = (kInfiniteCost - 5) / 2;
+
+TEST(Experiment, RejectsWeightsWhoseCostsCouldOverflow) {
+  const Grid g(2, 2);
+  // The loader accepts any total weight up to INT64_MAX, but weight x
+  // distance would overflow in the serving-cost tables.
+  EXPECT_THROW(Experiment(heavyTrace(INT64_MAX / 2), g), std::invalid_argument);
+  EXPECT_THROW(Experiment(heavyTrace(kHeaviestAccepted + 1), g),
+               std::invalid_argument);
+  FaultMap faults(g);
+  faults.killProc(1);
+  EXPECT_THROW(Experiment(heavyTrace(INT64_MAX / 2), g, faults),
+               std::invalid_argument);
+  // Huge cost parameters overflow just the same.
+  PipelineConfig cfg;
+  cfg.costParams.hopCost = INT64_MAX / 2;
+  EXPECT_THROW(Experiment(heavyTrace(1), g, cfg), std::invalid_argument);
+  cfg.costParams.hopCost = 1;
+  cfg.costParams.moveVolume = INT64_MAX / 3;
+  EXPECT_THROW(Experiment(heavyTrace(1), g, cfg), std::invalid_argument);
+}
+
+TEST(Experiment, HeaviestAcceptedWeightSchedulesWithFiniteCosts) {
+  const Grid g(2, 2);
+  const ReferenceTrace t = heavyTrace(kHeaviestAccepted);
+  const Experiment exp(t, g);
+  for (const Method m : {Method::kGomcds, Method::kLomcds, Method::kScds,
+                         Method::kGroupedGomcds}) {
+    const EvalResult eval = exp.evaluate(m);
+    // The heavy reference pulls the center to processor 0; the light one
+    // then costs 2 hops.
+    EXPECT_EQ(eval.aggregate.total(), 2) << toString(m);
+  }
+}
+
+TEST(StreamSession, RejectsWeightsWhoseCostsCouldOverflow) {
+  StreamSession session(2, 2);
+  EXPECT_THROW((void)session.step(heavyTrace(INT64_MAX / 2)),
+               std::invalid_argument);
+  const StreamStepResult ok = session.step(heavyTrace(kHeaviestAccepted));
+  EXPECT_EQ(ok.eval.aggregate.total(), 2);
 }
 
 }  // namespace

@@ -458,6 +458,34 @@ TEST(Protocol, UnreachableJobsReportTheErrorKind) {
   EXPECT_EQ(status.find("attempts")->asInt64(), 1);
 }
 
+TEST(Protocol, HugeWeightsFailTheJobInsteadOfOverflowing) {
+  // A weight the trace loader accepts (the total stays below INT64_MAX)
+  // but whose weight x distance products would overflow the serving-cost
+  // tables: the job fails as invalid input, the daemon keeps serving.
+  SchedulingService service;
+  ProtocolHandler handler(service);
+  ReferenceTrace trace(DataSpace::singleSquare(1));
+  trace.add(0, 0, 0, INT64_MAX / 2);
+  trace.add(0, 3, 0, 1);
+  trace.finalize();
+  std::ostringstream os;
+  saveTrace(trace, os);
+  Json heavy = submitRequest();
+  heavy.set("trace", os.str()).set("grid", "2x2").set("windows", 1);
+  const Json reply = call(handler, heavy.dump());
+  EXPECT_TRUE(reply.find("ok")->asBool()) << reply.dump();
+  EXPECT_EQ(reply.find("state")->asString(), "failed");
+  ASSERT_NE(reply.find("error_kind"), nullptr);
+  EXPECT_EQ(reply.find("error_kind")->asString(), "invalid");
+  ASSERT_NE(reply.find("error_detail"), nullptr);
+  EXPECT_NE(reply.find("error_detail")->asString().find("costs out of range"),
+            std::string::npos)
+      << reply.dump();
+
+  const Json next = call(handler, submitRequest().dump());
+  EXPECT_EQ(next.find("state")->asString(), "done") << next.dump();
+}
+
 TEST(Protocol, BadFaultSpecsPointAtTheOffendingToken) {
   SchedulingService service;
   ProtocolHandler handler(service);

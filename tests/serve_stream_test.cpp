@@ -16,12 +16,6 @@
 namespace pimsched::serve {
 namespace {
 
-/// The CI matrix runs every test under PIMSCHED_INCREMENTAL=0 and =1, so
-/// warm-path expectations (incremental flags, reuse counts) must be gated
-/// on what the toggle actually resolves to. Identity expectations never
-/// are.
-bool warmPathOn() { return incrementalEnabled(SchedulerOptions{}); }
-
 /// One streaming window: the shared prefix plus a per-window tail step, so
 /// consecutive windows of a session share everything but the suffix.
 ReferenceTrace windowTrace(int n, int steps, int tailWeight) {
@@ -65,13 +59,9 @@ TEST(StreamSessionManagerTest, SecondWindowOfUnchangedTraceIsWarm) {
   ASSERT_TRUE(second.ok) << second.error;
   EXPECT_EQ(second.window, 1);
   EXPECT_FALSE(second.reset);
-  if (warmPathOn()) {
-    EXPECT_TRUE(second.incremental);
-    EXPECT_GT(second.reusedLayers, 0);
-    EXPECT_EQ(second.relaxedLayers, 0);
-  } else {
-    EXPECT_FALSE(second.incremental);
-  }
+  EXPECT_TRUE(second.incremental);
+  EXPECT_GT(second.reusedLayers, 0);
+  EXPECT_EQ(second.relaxedLayers, 0);
 }
 
 TEST(StreamSessionManagerTest, EveryWindowMatchesTheOneShotSubmitPath) {
