@@ -1,7 +1,8 @@
-// parallel_scaling — thread-count sweep of the parallel scheduling
-// pipeline (capacity-aware GOMCDS plan/commit + schedule evaluation +
-// per-window NoC replay) on a large-grid workload, plus the serving-cost
-// cache reuse rates per kernel. Emits results/bench_parallel.json.
+// parallel_scaling — thread-count sweep of the scheduling pipeline
+// (capacity-aware GOMCDS + schedule evaluation + per-window NoC replay) on
+// a large-grid workload. GOMCDS under capacity runs its per-datum loop on
+// the calling thread at every thread count; evaluation and replay fan out.
+// Emits results/bench_parallel.json.
 //
 //   parallel_scaling [--smoke] [--out FILE] [--max-threads N]
 //                    [--repeat N] [--warmup N]
@@ -29,7 +30,6 @@
 #include "core/gomcds.hpp"
 #include "core/pipeline.hpp"
 #include "kernels/benchmarks.hpp"
-#include "obs/obs.hpp"
 #include "sim/replay.hpp"
 
 namespace {
@@ -49,17 +49,6 @@ struct SweepPoint {
   double replayMs = 0;
   [[nodiscard]] double totalMs() const {
     return scheduleMs + evalMs + replayMs;
-  }
-};
-
-struct CacheRow {
-  std::string kernel;
-  std::int64_t hit = 0;
-  std::int64_t miss = 0;
-  [[nodiscard]] double hitRate() const {
-    const std::int64_t total = hit + miss;
-    return total > 0 ? static_cast<double>(hit) / static_cast<double>(total)
-                     : 0.0;
   }
 };
 
@@ -95,20 +84,6 @@ SweepPoint runPipeline(const WindowedRefs& refs, const CostModel& model,
   }
   *totalCost = eval.aggregate.total();
   return point;
-}
-
-/// Cache reuse rate of one sequential GOMCDS run, from the obs counters.
-CacheRow cacheReuse(const std::string& name, const WindowedRefs& refs,
-                    const CostModel& model, const SchedulerOptions& opts) {
-  obs::Registry& registry = obs::Registry::instance();
-  const std::int64_t hit0 = registry.counterValue("cost.center_cache.hit");
-  const std::int64_t miss0 = registry.counterValue("cost.center_cache.miss");
-  (void)scheduleGomcds(refs, model, opts);
-  CacheRow row;
-  row.kernel = name;
-  row.hit = registry.counterValue("cost.center_cache.hit") - hit0;
-  row.miss = registry.counterValue("cost.center_cache.miss") - miss0;
-  return row;
 }
 
 std::string fmt(double v) {
@@ -216,29 +191,6 @@ int main(int argc, char** argv) {
     bestSpeedup = std::max(bestSpeedup, base / p.totalMs());
   }
 
-  // Cache reuse per kernel family (sequential runs; rates are identical in
-  // parallel because the shared cache sees the same reference strings).
-  std::vector<CacheRow> cacheRows;
-  const int cacheN = smoke ? 8 : 16;
-  for (const auto& [name, kind] :
-       std::vector<std::pair<std::string, PaperBenchmark>>{
-           {"matsquare", PaperBenchmark::kMatSquare},
-           {"lu", PaperBenchmark::kLu},
-           {"irregular", PaperBenchmark::kCodeRev}}) {
-    const ReferenceTrace kernelTrace =
-        makePaperBenchmark(kind, grid, cacheN);
-    PipelineConfig kernelCfg;
-    kernelCfg.numWindows = windows;
-    const Experiment kernelExp(kernelTrace, grid, kernelCfg);
-    cacheRows.push_back(cacheReuse(
-        name, kernelExp.refs(), kernelExp.costModel(),
-        SchedulerOptions{kernelExp.capacity(), kernelCfg.order}));
-    std::cout << "cache " << name << ": "
-              << cacheRows.back().hit << " hit / "
-              << cacheRows.back().miss << " miss (rate "
-              << fmt(cacheRows.back().hitRate()) << ")\n";
-  }
-
   std::filesystem::create_directories(
       std::filesystem::path(outPath).parent_path().empty()
           ? "."
@@ -271,15 +223,6 @@ int main(int argc, char** argv) {
   }
   os << "  ],\n"
      << "  \"speedup_at_4_threads\": " << fmt(speedupAt4) << ",\n"
-     << "  \"cache\": [\n";
-  for (std::size_t i = 0; i < cacheRows.size(); ++i) {
-    const CacheRow& r = cacheRows[i];
-    os << "    {\"kernel\": \"" << r.kernel << "\", \"hit\": " << r.hit
-       << ", \"miss\": " << r.miss << ", \"hit_rate\": "
-       << fmt(r.hitRate()) << "}" << (i + 1 < cacheRows.size() ? "," : "")
-       << "\n";
-  }
-  os << "  ],\n"
      << "  \"best_speedup\": " << fmt(bestSpeedup) << "\n"
      << "}\n";
   std::cout << "wrote " << outPath << "\n";

@@ -1,6 +1,5 @@
 #include "core/gomcds.hpp"
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -10,7 +9,7 @@
 
 #include "core/data_order.hpp"
 #include "core/gomcds_detail.hpp"
-#include "cost/cost_cache.hpp"
+#include "cost/center_costs.hpp"
 #include "fault/fault_map.hpp"
 #include "graph/layered_dag.hpp"
 #include "graph/simd/simd_kernels.hpp"
@@ -81,15 +80,6 @@ SlotLedger::SlotLedger(const CostModel& model, std::int64_t capacity,
   }
 }
 
-bool SlotLedger::fits(const LayeredPath& path) const {
-  for (std::size_t w = 0; w < occupancy_.size(); ++w) {
-    if (!occupancy_[w].hasRoom(static_cast<ProcId>(path.nodes[w]))) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void SlotLedger::commit(DataId d, const LayeredPath& path,
                         DataSchedule& schedule) {
   if (!path.feasible()) {
@@ -137,84 +127,27 @@ using detail::DedupClasses;
 /// after the first datum on a thread the steady-state loop performs zero
 /// heap allocations per datum.
 struct GomcdsScratch {
-  LayeredDagScratch dag;  ///< dp + relaxed layers of the solver kernels
-  LayeredPath path;       ///< reused per-datum solution
-  CostBuffer serve;       ///< flat W x P node-cost table fed to the solver
+  LayeredDagScratch dag;    ///< dp + relaxed layers of the solver kernels
+  LayeredPath path;         ///< reused per-datum solution
+  CostBuffer serve;         ///< flat W x P node-cost table fed to the solver
+  CenterCostScratch costs;  ///< axis histograms of the serve-row builds
 };
 
-/// Flat W x P serving-cost tables per equivalence class. Tables of shared
-/// classes (>= 2 members) are built once and retained; singleton classes
-/// are materialized into caller scratch so an all-distinct trace never
-/// retains per-datum tables.
-class ClassServeTables {
- public:
-  ClassServeTables(const WindowedRefs& refs, const CostModel& model,
-                   const DedupClasses& classes)
-      : refs_(&refs),
-        classes_(&classes),
-        cache_(model),
-        tables_(classes.rep.size()) {}
-
-  /// Serving-cost table of class `cls`. Shared classes build lazily into
-  /// their retained slot; singletons build into `scratch`.
-  std::span<const Cost> table(int cls, GomcdsScratch& scratch) {
-    if (classes_->size[static_cast<std::size_t>(cls)] > 1) {
-      std::vector<Cost>& t = tables_[static_cast<std::size_t>(cls)];
-      if (t.empty()) buildInto(cls, t);
-      return t;
-    }
-    buildInto(cls, scratch.serve);
-    return scratch.serve;
+/// Writes datum d's flat W x P serving-cost table into scratch.serve, each
+/// window row computed in place by separableCenterCostsInto.
+void buildServeTable(const WindowedRefs& refs, const CostModel& model,
+                     DataId d, GomcdsScratch& scratch) {
+  const int W = refs.numWindows();
+  const std::size_t p = static_cast<std::size_t>(refs.numProcs());
+  scratch.serve.resize(static_cast<std::size_t>(W) * p);
+  for (WindowId w = 0; w < W; ++w) {
+    separableCenterCostsInto(
+        model, refs.refs(d, w),
+        std::span<Cost>(scratch.serve.data() + static_cast<std::size_t>(w) * p,
+                        p),
+        scratch.costs);
   }
-
-  /// Writes class `cls`'s table with every full slot forbidden into
-  /// scratch.serve (the forbidden mask applied through the dispatched SIMD
-  /// kernel; a singleton's table is masked in place).
-  void masked(int cls, const std::vector<char>& full, GomcdsScratch& scratch) {
-    const std::span<const Cost> serve = table(cls, scratch);
-    if (serve.data() != scratch.serve.data()) {
-      scratch.serve.resize(serve.size());
-      std::copy(serve.begin(), serve.end(), scratch.serve.begin());
-    }
-    simd::active().maskInf(reinterpret_cast<const unsigned char*>(full.data()),
-                           scratch.serve.data(), full.size());
-  }
-
-  /// Builds every shared-class table upfront (the parallel planner reads
-  /// them concurrently, so they must not build lazily there).
-  void buildShared(unsigned threads) {
-    std::vector<int> shared;
-    for (std::size_t c = 0; c < tables_.size(); ++c) {
-      if (classes_->size[c] > 1) shared.push_back(static_cast<int>(c));
-    }
-    parallelFor(static_cast<std::int64_t>(shared.size()), threads,
-                [&](std::int64_t k) {
-                  const int cls = shared[static_cast<std::size_t>(k)];
-                  buildInto(cls, tables_[static_cast<std::size_t>(cls)]);
-                });
-  }
-
- private:
-  /// Fills the flat W x P table, each window row written in place by the
-  /// cost cache (span overload) — no per-row staging copy.
-  template <typename Buffer>
-  void buildInto(int cls, Buffer& out) {
-    const DataId d = classes_->rep[static_cast<std::size_t>(cls)];
-    const int W = refs_->numWindows();
-    const std::size_t p = static_cast<std::size_t>(refs_->numProcs());
-    out.resize(static_cast<std::size_t>(W) * p);
-    for (WindowId w = 0; w < W; ++w) {
-      cache_.costsInto(
-          refs_->refs(d, w),
-          std::span<Cost>(out.data() + static_cast<std::size_t>(w) * p, p));
-    }
-  }
-
-  const WindowedRefs* refs_;
-  const DedupClasses* classes_;
-  CenterCostCache cache_;
-  std::vector<std::vector<Cost>> tables_;
-};
+}
 
 }  // namespace
 
@@ -228,20 +161,14 @@ DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
   const Cost beta = model.params().hopCost * model.params().moveVolume;
   DataSchedule schedule(refs.numData(), W);
   const std::vector<DataId> order = dataVisitOrder(refs, options.order);
-  const std::size_t n = order.size();
 
   const bool useChamfer =
       engine == GomcdsEngine::kChamfer && !model.faultAware();
   std::vector<Cost> trans;
   if (!useChamfer) detail::buildTransTable(model, trans);
 
-  const DedupClasses classes = detail::computeDedupClasses(refs);
-  ClassServeTables tables(refs, model, classes);
   const bool staticMask = detail::staticForbiddenSet(model, options);
   detail::SlotLedger ledger(model, options.capacity, W, !staticMask);
-  const auto classOf = [&](DataId d) {
-    return classes.classOf[static_cast<std::size_t>(d)];
-  };
 
   // gomcds.flat.solves is accounted in bulk per fan-out — a per-solve add
   // would have every worker hammering one counter cache line.
@@ -257,91 +184,42 @@ DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
   };
 
   if (staticMask) {
-    // The forbidden set never changes, so every member of a class takes the
-    // same path and plans cannot conflict: one solve per class, fanned out
-    // over the pool, then a single commit pass in visit order.
-    if (threads != 1) PIMSCHED_COUNTER_ADD("sched.gomcds.rounds", 1);
+    // The forbidden set never changes, so every member of an equivalence
+    // class takes the same path: one solve per class, fanned out over the
+    // pool, then a single commit pass in visit order.
+    const DedupClasses classes = detail::computeDedupClasses(refs);
     std::vector<LayeredPath> classPaths(classes.rep.size());
     parallelFor(static_cast<std::int64_t>(classPaths.size()), threads,
                 [&](std::int64_t k) {
                   GomcdsScratch& scratch = workerScratch<GomcdsScratch>();
-                  solveInto(tables.table(static_cast<int>(k), scratch),
-                            scratch, classPaths[static_cast<std::size_t>(k)]);
+                  buildServeTable(refs, model,
+                                  classes.rep[static_cast<std::size_t>(k)],
+                                  scratch);
+                  solveInto(scratch.serve, scratch,
+                            classPaths[static_cast<std::size_t>(k)]);
                 });
     PIMSCHED_COUNTER_ADD("gomcds.flat.solves",
                          static_cast<std::int64_t>(classPaths.size()));
     for (const DataId d : order) {
-      ledger.commit(d, classPaths[static_cast<std::size_t>(classOf(d))],
-                    schedule);
+      const int cls = classes.classOf[static_cast<std::size_t>(d)];
+      ledger.commit(d, classPaths[static_cast<std::size_t>(cls)], schedule);
     }
-  } else if (threads == 1) {
-    // Capacity pressure, one thread: the mask grows between data, so each
-    // datum gets its own masked solve (reusing the class serve table).
+  } else {
+    // Capacity pressure: the forbidden mask grows between data, so each
+    // datum gets its own masked solve, in visit order on the calling thread
+    // at every thread count.
     GomcdsScratch& scratch = workerScratch<GomcdsScratch>();
+    const std::vector<char>& full = ledger.full();
     for (const DataId d : order) {
-      tables.masked(classOf(d), ledger.full(), scratch);
+      buildServeTable(refs, model, d, scratch);
+      simd::active().maskInf(
+          reinterpret_cast<const unsigned char*>(full.data()),
+          scratch.serve.data(), full.size());
       solveInto(scratch.serve, scratch, scratch.path);
       ledger.commit(d, scratch.path, schedule);
     }
-    PIMSCHED_COUNTER_ADD("gomcds.flat.solves", static_cast<std::int64_t>(n));
-  } else {
-    // Capacity pressure, plan/commit rounds. plans[i] is the solution for
-    // order[i]; planned[i] marks it current (solved against a snapshot no
-    // newer placement invalidated).
-    tables.buildShared(threads);
-    std::vector<LayeredPath> plans(n);
-    std::vector<char> planned(n, 0);
-    std::vector<std::size_t> toSolve;
-    toSolve.reserve(n);
-    std::size_t committed = 0;  // order[0..committed) are placed
-    while (committed < n) {
-      PIMSCHED_COUNTER_ADD("sched.gomcds.rounds", 1);
-      // Plan phase: solve every pending datum without a current plan
-      // against the read-only full[] snapshot. Pure per-datum work — safe
-      // to fan out; shared-class serve tables were prebuilt above.
-      toSolve.clear();
-      for (std::size_t i = committed; i < n; ++i) {
-        if (!planned[i]) toSolve.push_back(i);
-      }
-      parallelFor(static_cast<std::int64_t>(toSolve.size()), threads,
-                  [&](std::int64_t k) {
-                    const std::size_t i = toSolve[static_cast<std::size_t>(k)];
-                    GomcdsScratch& scratch = workerScratch<GomcdsScratch>();
-                    tables.masked(classOf(order[i]), ledger.full(), scratch);
-                    solveInto(scratch.serve, scratch, plans[i]);
-                  });
-      // Marking plans current happens after the barrier: workers writing
-      // adjacent planned[] bytes from different cores would false-share
-      // the line for no benefit — every datum in toSolve was solved.
-      for (const std::size_t i : toSolve) planned[i] = 1;
-      PIMSCHED_COUNTER_ADD("gomcds.flat.solves",
-                           static_cast<std::int64_t>(toSolve.size()));
-
-      // Commit phase: sequential, in visit order — the deterministic
-      // tie-break that makes the result thread-count independent. Stops at
-      // the first datum whose plan lost a slot to a commit it did not see.
-      // A plan infeasible against any snapshot stays infeasible under the
-      // only-growing occupancy, so commit() throws exactly where the
-      // sequential loop would.
-      std::size_t i = committed;
-      for (; i < n; ++i) {
-        if (plans[i].feasible() && !ledger.fits(plans[i])) break;
-        ledger.commit(order[i], plans[i], schedule);
-      }
-      if (i < n) {
-        // Conflict: keep still-fitting plans (they remain optimal under the
-        // grown forbidden set), re-solve only the invalidated ones.
-        // Infeasible plans stay planned and throw when the pass reaches
-        // them.
-        PIMSCHED_COUNTER_ADD("sched.gomcds.conflicts", 1);
-        for (std::size_t j = i; j < n; ++j) {
-          if (planned[j] && plans[j].feasible() && !ledger.fits(plans[j])) {
-            planned[j] = 0;
-          }
-        }
-      }
-      committed = i;
-    }
+    PIMSCHED_COUNTER_ADD("gomcds.flat.solves",
+                         static_cast<std::int64_t>(order.size()));
   }
   PIMSCHED_COUNTER_ADD("sched.gomcds.data",
                        static_cast<std::int64_t>(refs.numData()));

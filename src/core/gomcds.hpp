@@ -26,24 +26,16 @@ enum class GomcdsEngine { kChamfer, kNaive };
 /// are scheduled sequentially and a (window, processor) slot that is full
 /// becomes a forbidden node for later data.
 ///
-/// Data with byte-identical windowed reference strings — common in
-/// matmul/LU traces — form one equivalence class and share one serving-cost
-/// table; under a static forbidden set (no capacity pressure) they also
-/// share one solved path. Table rows come from a per-call CenterCostCache
-/// (cost/cost_cache.hpp).
-///
-/// `threads` executors (0 = hardware concurrency) solve the per-datum DAGs;
-/// the schedule is bit-identical for every thread count. Under a static
-/// forbidden set the class paths are solved in parallel and committed in
-/// visit order. Under capacity pressure, threads == 1 runs the sequential
-/// per-datum loop; any other value runs plan/commit rounds: workers solve
-/// every pending datum against a read-only snapshot of the full slots, then
-/// a sequential commit pass places data in visit order until the first
-/// plan that lost a slot to an earlier commit, and only the invalidated
-/// plans are re-solved next round. A plan that still fits the grown
-/// forbidden set is still the cost- and tie-break-minimal path the
-/// sequential loop would pick, which is what makes the result identical.
-/// Helper workers come from the shared ThreadPool (util/thread_pool.hpp).
+/// Serving-cost tables are computed row by row with separableCenterCostsInto
+/// into per-thread scratch; none is retained across data. Under a static
+/// forbidden set (no capacity pressure), data with byte-identical windowed
+/// reference strings — common in matmul/LU traces — form one equivalence
+/// class that shares one table and one solved path, and `threads` executors
+/// (0 = hardware concurrency) solve the classes on the shared ThreadPool
+/// (util/thread_pool.hpp) before one commit pass in visit order. Under
+/// capacity pressure every datum builds its own table and gets its own
+/// masked solve, on the calling thread at every thread count. The schedule
+/// is bit-identical for every thread count.
 [[nodiscard]] DataSchedule scheduleGomcds(
     const WindowedRefs& refs, const CostModel& model,
     const SchedulerOptions& options = {},

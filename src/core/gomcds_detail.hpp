@@ -97,9 +97,6 @@ class SlotLedger {
   /// Mask of full (window, processor) slots; empty unless tracked.
   [[nodiscard]] const std::vector<char>& full() const { return full_; }
 
-  /// True when every slot of the feasible `path` still has room.
-  [[nodiscard]] bool fits(const LayeredPath& path) const;
-
   /// Places datum d along `path`: one slot per window, full[] kept in sync,
   /// the centers written into `schedule`. An infeasible path throws
   /// UnreachableError when faults severed every placement and

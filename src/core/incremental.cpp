@@ -304,7 +304,6 @@ DataSchedule IncrementalSolver::solve(const WindowedRefs& refs,
     }
 
     std::int64_t flatSolves = 0;
-    std::vector<Cost> rowBuf;
     for (std::size_t c = 0; c < classes.rep.size(); ++c) {
       const DataId rep = classes.rep[c];
       int from = 0;
@@ -347,14 +346,12 @@ DataSchedule IncrementalSolver::solve(const WindowedRefs& refs,
       // byte-identical to what a cold solve would compute (same refs, same
       // model, same deterministic cost function), which is what makes the
       // resumed dp — and therefore the reconstructed path — bit-identical.
-      // Computed directly rather than through a CenterCostCache: the churn
-      // rows of one stream step rarely repeat within the step, so the
-      // cache's per-row hash + shard lock + insert would cost more than
-      // the separable computation itself.
       for (WindowId w = from; w < W; ++w) {
-        separableCenterCostsInto(model, refs.refs(rep, w), rowBuf);
-        std::copy(rowBuf.begin(), rowBuf.end(),
-                  st->serve.data() + static_cast<std::size_t>(w) * pn);
+        separableCenterCostsInto(
+            model, refs.refs(rep, w),
+            std::span<Cost>(st->serve.data() + static_cast<std::size_t>(w) * pn,
+                            pn),
+            costScratch_);
       }
       if (useChamfer) {
         LayeredDagSolver::solveManhattan(grid, W, st->serve, beta, from,

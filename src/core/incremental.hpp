@@ -8,6 +8,7 @@
 #include "core/gomcds.hpp"
 #include "core/schedule.hpp"
 #include "core/scheduler_options.hpp"
+#include "cost/center_costs.hpp"
 #include "cost/cost_model.hpp"
 #include "graph/layered_dag.hpp"
 #include "trace/windowed_refs.hpp"
@@ -131,6 +132,7 @@ class IncrementalSolver {
   std::vector<Cost> trans_;  ///< retained transition table (naive engine)
   bool transValid_ = false;
   LayeredDagScratch scratch_;
+  CenterCostScratch costScratch_;  ///< histograms of the serve-row rebuilds
 };
 
 }  // namespace pimsched

@@ -70,10 +70,10 @@ struct PipelineConfig {
   /// bench/grouping_ablation).
   DataOrder order = DataOrder::kByWeightDesc;
 
-  /// Worker threads for the parallel paths (GOMCDS plan/commit scheduling
-  /// and schedule evaluation): 1 = sequential (default), 0 = hardware
-  /// concurrency, N = at most N concurrent workers. Results are identical
-  /// for every value.
+  /// Worker threads for the parallel paths (GOMCDS per-class solves under
+  /// a static forbidden set, schedule evaluation): 1 = sequential
+  /// (default), 0 = hardware concurrency, N = at most N concurrent
+  /// workers. Results are identical for every value.
   unsigned threads = 1;
 };
 

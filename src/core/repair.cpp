@@ -78,7 +78,8 @@ RepairResult repairSchedule(const DataSchedule& schedule,
   const DataId numData = schedule.numData();
   std::vector<char> repaired(static_cast<std::size_t>(numData), 0);
   std::vector<DataId> broken;
-  std::vector<Cost> costs;
+  std::vector<Cost> costs(static_cast<std::size_t>(grid.size()));
+  CenterCostScratch costScratch;
 
   for (WindowId w = options.faultWindow; w < schedule.numWindows(); ++w) {
     OccupancyMap occupancy(grid, options.capacity);
@@ -100,7 +101,7 @@ RepairResult repairSchedule(const DataSchedule& schedule,
     }
 
     for (const DataId d : broken) {
-      separableCenterCostsInto(model, refs.refs(d, w), costs);
+      separableCenterCostsInto(model, refs.refs(d, w), costs, costScratch);
       const ProcId prev =
           w > 0 ? result.schedule.center(d, w - 1) : kNoProc;
       for (ProcId p = 0; p < grid.size(); ++p) {

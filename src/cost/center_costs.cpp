@@ -1,6 +1,7 @@
 #include "cost/center_costs.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "obs/obs.hpp"
 
@@ -17,16 +18,16 @@ std::vector<Cost> bruteForceCenterCosts(const CostModel& model,
   return costs;
 }
 
-std::vector<Cost> axisCosts(std::span<const Cost> hist) {
-  const std::size_t n = hist.size();
-  std::vector<Cost> f(n, 0);
-  if (n == 0) return f;
+namespace {
 
+/// axisCosts into `f` (same length as `hist`).
+void axisCostsInto(std::span<const Cost> hist, std::span<Cost> f) {
+  const std::size_t n = hist.size();
   // Left-to-right sweep: contribution of weights at positions <= x.
   Cost weightBelow = 0;  // total weight at positions < x
   Cost costBelow = 0;    // sum w_k * (x - k) over k < x
   for (std::size_t x = 0; x < n; ++x) {
-    f[x] += costBelow;
+    f[x] = costBelow;
     weightBelow += hist[x];
     costBelow += weightBelow;
   }
@@ -38,10 +39,7 @@ std::vector<Cost> axisCosts(std::span<const Cost> hist) {
     weightAbove += hist[xi];
     costAbove += weightAbove;
   }
-  return f;
 }
-
-namespace {
 
 /// Fault-aware table: serveCost per center read off the DistanceMap. Dead
 /// centers are kInfiniteCost even for empty reference strings — a datum
@@ -51,11 +49,10 @@ namespace {
 /// separable sweep does.
 void faultCenterCostsInto(const CostModel& model,
                           std::span<const ProcWeight> refs,
-                          std::vector<Cost>& out) {
+                          std::span<Cost> out) {
   const DistanceMap& distances = model.distances();
   const int m = model.grid().size();
   const Cost hop = model.params().hopCost;
-  out.resize(static_cast<std::size_t>(m));
   for (ProcId p = 0; p < m; ++p) {
     if (!distances.alive(p)) {
       out[static_cast<std::size_t>(p)] = kInfiniteCost;
@@ -77,40 +74,55 @@ void faultCenterCostsInto(const CostModel& model,
 
 }  // namespace
 
+std::vector<Cost> axisCosts(std::span<const Cost> hist) {
+  std::vector<Cost> f(hist.size());
+  axisCostsInto(hist, f);
+  return f;
+}
+
 void separableCenterCostsInto(const CostModel& model,
                               std::span<const ProcWeight> refs,
-                              std::vector<Cost>& out) {
+                              std::span<Cost> out, CenterCostScratch& scratch) {
   PIMSCHED_COUNTER_ADD("cost.center_eval_calls", 1);
+  assert(out.size() == static_cast<std::size_t>(model.grid().size()));
   if (model.faultAware()) {
     faultCenterCostsInto(model, refs, out);
     return;
   }
   const Grid& grid = model.grid();
-  std::vector<Cost> rowHist(static_cast<std::size_t>(grid.rows()), 0);
-  std::vector<Cost> colHist(static_cast<std::size_t>(grid.cols()), 0);
+  const auto rows = static_cast<std::size_t>(grid.rows());
+  const auto cols = static_cast<std::size_t>(grid.cols());
+  scratch.rowHist.assign(rows, 0);
+  scratch.colHist.assign(cols, 0);
+  scratch.fRow.resize(rows);
+  scratch.fCol.resize(cols);
   for (const ProcWeight& pw : refs) {
     const Coord c = grid.coord(pw.proc);
-    rowHist[static_cast<std::size_t>(c.row)] += pw.weight;
-    colHist[static_cast<std::size_t>(c.col)] += pw.weight;
+    scratch.rowHist[static_cast<std::size_t>(c.row)] += pw.weight;
+    scratch.colHist[static_cast<std::size_t>(c.col)] += pw.weight;
   }
-  const std::vector<Cost> fRow = axisCosts(rowHist);
-  const std::vector<Cost> fCol = axisCosts(colHist);
+  axisCostsInto(scratch.rowHist, scratch.fRow);
+  axisCostsInto(scratch.colHist, scratch.fCol);
 
-  out.resize(static_cast<std::size_t>(grid.size()));
+  // cost(r, c) = hop * (fRow[r] + fCol[c]). Folding hop into both axes
+  // leaves an add over one contiguous row of `out` (ids are row-major),
+  // which vectorizes where the 64-bit multiply does not.
   const Cost hop = model.params().hopCost;
-  for (int r = 0; r < grid.rows(); ++r) {
-    for (int c = 0; c < grid.cols(); ++c) {
-      out[static_cast<std::size_t>(grid.id(r, c))] =
-          hop * (fRow[static_cast<std::size_t>(r)] +
-                 fCol[static_cast<std::size_t>(c)]);
-    }
+  for (Cost& f : scratch.fRow) f *= hop;
+  for (Cost& f : scratch.fCol) f *= hop;
+  const Cost* fCol = scratch.fCol.data();
+  for (std::size_t r = 0; r < rows; ++r) {
+    const Cost fRow = scratch.fRow[r];
+    Cost* row = out.data() + r * cols;
+    for (std::size_t c = 0; c < cols; ++c) row[c] = fRow + fCol[c];
   }
 }
 
 std::vector<Cost> separableCenterCosts(const CostModel& model,
                                        std::span<const ProcWeight> refs) {
-  std::vector<Cost> costs;
-  separableCenterCostsInto(model, refs, costs);
+  std::vector<Cost> costs(static_cast<std::size_t>(model.grid().size()));
+  CenterCostScratch scratch;
+  separableCenterCostsInto(model, refs, costs, scratch);
   return costs;
 }
 

@@ -18,11 +18,10 @@ namespace pimsched {
 ///    cost(r, c) = f_row(r) + f_col(c) with each axis solvable by prefix
 ///    sums over a weight histogram (the 1-D weighted-median trick).
 ///
-/// The *Into variants write into a caller-owned buffer (resized to the
-/// grid size), so hot loops reuse one allocation per thread instead of
-/// returning a fresh vector per (datum, window). Every variant counts one
-/// `cost.center_eval_calls`; see CenterCostCache (cost/cost_cache.hpp) for
-/// the memoized front end and its hit/miss counters.
+/// separableCenterCostsInto writes into a caller-owned row of exactly the
+/// grid size and keeps its axis histograms in caller-held scratch, so a hot
+/// loop that reuses both performs no heap allocation per (datum, window).
+/// Every variant counts one `cost.center_eval_calls`.
 ///
 /// When the model is fault-aware (carries a DistanceMap), every variant
 /// instead prices centers by fault-aware hop distance; dead processors
@@ -34,9 +33,17 @@ namespace pimsched {
 [[nodiscard]] std::vector<Cost> separableCenterCosts(
     const CostModel& model, std::span<const ProcWeight> refs);
 
+/// Grow-only working storage of separableCenterCostsInto: the row and
+/// column weight histograms and their axis-cost sweeps.
+struct CenterCostScratch {
+  std::vector<Cost> rowHist, colHist, fRow, fCol;
+};
+
+/// Writes the serving cost of every center into `out`, which must hold
+/// exactly grid().size() entries.
 void separableCenterCostsInto(const CostModel& model,
                               std::span<const ProcWeight> refs,
-                              std::vector<Cost>& out);
+                              std::span<Cost> out, CenterCostScratch& scratch);
 
 /// separableCenterCosts, the library default.
 [[nodiscard]] inline std::vector<Cost> centerCosts(

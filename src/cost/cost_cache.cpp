@@ -46,7 +46,8 @@ const CenterCostCache::Entry& CenterCostCache::lookupOrInsert(
       // the same string (the second worker waits, then hits).
       auto fresh = std::make_unique<Entry>();
       fresh->key.assign(refs.begin(), refs.end());
-      separableCenterCostsInto(*model_, refs, fresh->costs);
+      fresh->costs.resize(static_cast<std::size_t>(model_->grid().size()));
+      separableCenterCostsInto(*model_, refs, fresh->costs, shard.scratch);
       found = fresh.get();
       bucket.push_back(std::move(fresh));
       hit = false;

@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cost/center_costs.hpp"
 #include "cost/cost_model.hpp"
 
 namespace pimsched {
@@ -21,9 +22,10 @@ namespace pimsched {
     std::span<const ProcWeight> refs);
 
 /// Thread-safe memoization of separableCenterCosts keyed by the full
-/// reference string. Workers of one scheduling call share a cache, so the
-/// table for a reference string common to many (datum, window) cells is
-/// computed once and copied out afterwards.
+/// reference string, so the table for a reference string looked up many
+/// times is computed once and copied out afterwards. The fleet's per-array
+/// selector estimates use it (fleet/fleet.hpp); the GOMCDS driver does not
+/// — it computes each class's rows once with separableCenterCostsInto.
 ///
 /// Collision-safe: entries bucket by hash but store the full key, and a
 /// lookup compares the strings — two distinct strings landing on the same
@@ -77,6 +79,8 @@ class CenterCostCache {
     /// after releasing the shard lock.
     std::unordered_map<std::uint64_t, std::vector<std::unique_ptr<Entry>>>
         buckets;
+    /// Histogram scratch of the misses computed under this shard's lock.
+    CenterCostScratch scratch;
   };
   static constexpr std::size_t kShards = 16;
 

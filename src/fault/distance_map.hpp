@@ -17,9 +17,8 @@ namespace pimsched {
 /// empty FaultMap reproduces the original cost model exactly.
 ///
 /// Build cost is O(procs * (procs + links)) once per fault state; lookups
-/// are one table read, so the table plugs into the existing serving-cost
-/// memoization (cost/cost_cache.hpp) unchanged: a CenterCostCache is tied
-/// to one CostModel, hence to one DistanceMap.
+/// are one table read. A CenterCostCache (cost/cost_cache.hpp) is tied to
+/// one CostModel, hence to one DistanceMap.
 class DistanceMap {
  public:
   DistanceMap(const Grid& grid, const FaultMap& faults);

@@ -198,9 +198,10 @@ void LayeredDagSolver::solveTable(int numLayers, int numNodes,
     throw std::invalid_argument(
         "LayeredDagSolver: retained dp table too small for resume");
   }
-  // Counters only, no scoped timer: the kernels are called per datum from
-  // the parallel scheduler, where a timer's clock reads and shared atomic
-  // read-modify-writes measurably serialized the plan phase.
+  // Counters only, no scoped timer: the kernels are called per datum, and
+  // from pool workers in the static-set fan-out, where a timer's clock
+  // reads and shared atomic read-modify-writes measurably serialized the
+  // solves.
   PIMSCHED_COUNTER_ADD("solver.runs", 1);
   PIMSCHED_COUNTER_ADD("solver.relaxed_layers",
                        numLayers - std::max(fromLayer, 1));

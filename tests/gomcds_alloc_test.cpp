@@ -2,8 +2,8 @@
 // new/delete are replaced with counting versions, and the tests assert the
 // zero-alloc steady state the scratch-arena design promises — a warm
 // solver call performs no heap allocations at all, and a scheduling call's
-// allocation count depends on the number of equivalence classes, not the
-// number of data.
+// allocation count does not grow with the number of data, whether they
+// share one equivalence class or each form their own.
 
 #include <gtest/gtest.h>
 
@@ -184,6 +184,60 @@ TEST(GomcdsAlloc, ScheduleAllocationsIndependentOfDataCount) {
       << "per-datum steady state is supposed to be allocation-free: "
       << smallAllocs << " allocations for 8 data vs " << bigAllocs
       << " for 64";
+}
+
+/// A trace whose data all have distinct reference strings (each datum has
+/// its own weight), so every equivalence class is a singleton and every
+/// serving-cost table is built afresh.
+WindowedRefs distinctRefs(const Grid& grid, DataId numData, int windows,
+                          ReferenceTrace& traceOut) {
+  DataSpace ds;
+  ds.addArray("A", 1, numData);
+  ReferenceTrace t(ds);
+  for (StepId s = 0; s < static_cast<StepId>(windows); ++s) {
+    for (DataId d = 0; d < numData; ++d) {
+      t.add(s, static_cast<ProcId>((d + s) % grid.size()), d, 1 + d);
+    }
+  }
+  t.finalize();
+  traceOut = std::move(t);
+  return WindowedRefs(
+      traceOut,
+      WindowPartition::evenCount(static_cast<StepId>(windows), windows), grid);
+}
+
+TEST(GomcdsAlloc, CapacityLoopAllocationsIndependentOfDataCount) {
+  const Grid grid(4, 4);
+  const CostModel model(grid);
+  const int windows = 4;
+  ReferenceTrace smallTrace{DataSpace::singleSquare(1)};
+  ReferenceTrace bigTrace{DataSpace::singleSquare(1)};
+  const WindowedRefs smallRefs = distinctRefs(grid, 16, windows, smallTrace);
+  const WindowedRefs bigRefs = distinctRefs(grid, 128, windows, bigTrace);
+  // Tight capacity: the fewest slots per processor that hold every datum,
+  // so the per-datum masked loop runs and slots fill up.
+  const auto tight = [&](const WindowedRefs& refs) {
+    return SchedulerOptions{(refs.numData() + grid.size() - 1) / grid.size()};
+  };
+
+  // Warm run resolves metric handles and grows the per-thread scratch.
+  (void)scheduleGomcds(smallRefs, model, tight(smallRefs));
+
+  const std::int64_t beforeSmall = allocCount();
+  (void)scheduleGomcds(smallRefs, model, tight(smallRefs));
+  const std::int64_t smallAllocs = allocCount() - beforeSmall;
+
+  const std::int64_t beforeBig = allocCount();
+  (void)scheduleGomcds(bigRefs, model, tight(bigRefs));
+  const std::int64_t bigAllocs = allocCount() - beforeBig;
+
+  // 112 extra data with their own reference strings (448 extra
+  // serving-cost rows) must not buy extra allocations: every row is
+  // written straight into the per-thread scratch.
+  EXPECT_LE(bigAllocs, smallAllocs + 4)
+      << "the capacity loop is supposed to be allocation-free per datum: "
+      << smallAllocs << " allocations for 16 data vs " << bigAllocs
+      << " for 128";
 }
 
 }  // namespace

@@ -185,7 +185,7 @@ TEST(Gomcds, DedupProducesIdenticalSchedulesOnMatmul) {
   // equivalence classes that share serve tables (and, uncapacitated, one
   // solved path). The schedule must stay bit-identical to the share-nothing
   // per-datum reference, with and without capacity pressure, on one thread
-  // and on four (plan/commit).
+  // and on four.
   const Grid g(4, 4);
   const ReferenceTrace t =
       makePaperBenchmark(PaperBenchmark::kMatSquare, g, 8);

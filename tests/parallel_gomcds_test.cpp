@@ -55,9 +55,9 @@ TEST(ParallelGomcds, MoreThreadsThanDataIsFine) {
 }
 
 TEST(ParallelGomcds, BitIdenticalToSequentialWithCapacity) {
-  // The plan/commit engine must honor the capacity constraint and still
-  // reproduce the sequential schedule exactly, for every thread count and
-  // both visit orders.
+  // Under capacity the driver must honor the constraint and reproduce the
+  // sequential schedule exactly, for every thread count and both visit
+  // orders.
   const Grid g(4, 4);
   const CostModel model(g);
   testutil::Rng rng(293);

@@ -86,8 +86,8 @@ inline std::vector<Cost> manhattanMinPlus(const Grid& grid,
 /// computes that datum's own serving-cost table, forbids every (window,
 /// processor) slot its own occupancy counts mark full, runs one table-kernel
 /// solve against model.moveCost, and places the path. No equivalence
-/// classes, shared tables or paths, cost cache, chamfer kernel or
-/// plan/commit rounds — the production driver must match it bit for bit.
+/// classes, shared tables or paths, chamfer kernel or thread pool — the
+/// production driver must match it bit for bit.
 inline DataSchedule referenceGomcds(const WindowedRefs& refs,
                                     const CostModel& model,
                                     const SchedulerOptions& options = {}) {
